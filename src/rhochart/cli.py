@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -197,6 +198,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except _ValidationFailure as exc:
         _emit(args, exc.payload)
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
     except words.UnreachableFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

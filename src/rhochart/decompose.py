@@ -7,6 +7,9 @@ zero one upper off-diagonal entry.  Earlier zeros are preserved by the order,
 so the residue is diagonal and becomes the trailing phase matrix.  The
 recovered parameter vector is exactly the chart's, so this is the
 constructive inverse of ``make_opor_chart``.
+
+The elimination is the column kernel of ``words.evaluate`` run on u^dagger:
+left-applying the inverse block R^T P* to t is right-applying P R to t^dagger.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import Word, evaluate, make_opor_chart
+from .words import Word, evaluate, make_opor_chart, phase_column, rotate_columns
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,12 +53,12 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
     if not numerics.is_unitary(u, tol):
         raise NotUnitaryError(f"input is not unitary within {tol}")
     n = u.shape[0]
-    t = u.copy()
+    v = numerics.adjoint(u)  # t = v^dagger is the matrix being reduced
     params: list[float] = []
     for a, b in canonical_order(DegeneracyPattern.singletons(n)):
         i, j = min(a, b), max(a, b)
-        tij = t[i - 1, j - 1]
-        tjj = t[j - 1, j - 1]
+        tij = v[j - 1, i - 1].conjugate()
+        tjj = v[j - 1, j - 1].conjugate()
         if abs(tij) < ELIM_EPS:
             delta, theta = 0.0, 0.0
         else:
@@ -67,14 +70,9 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
             else:
                 delta = float(np.angle(tjj) - np.angle(tij)) % TWO_PI
         params.extend([delta, theta])
-        # left-apply the inverse block: undo the phase on row a, then rotate
-        t[a - 1, :] *= np.exp(-1j * delta)
-        c, s = math.cos(theta), math.sin(theta)
-        row_i = c * t[i - 1, :] - s * t[j - 1, :]
-        row_j = s * t[i - 1, :] + c * t[j - 1, :]
-        t[i - 1, :] = row_i
-        t[j - 1, :] = row_j
-    params.extend(float(np.angle(t[k, k])) % TWO_PI for k in range(n))
+        phase_column(v, a, delta)
+        rotate_columns(v, i, j, theta)
+    params.extend(float(-np.angle(v[k, k])) % TWO_PI for k in range(n))
     word = make_opor_chart(n, params)
     residual = numerics.max_abs_diff(u, evaluate(word))
     return DecompositionResult(word=word, residual=residual)

@@ -1,7 +1,8 @@
-"""Dense complex matrix kernel shared by the rest of the package.
+"""Dense complex matrix helpers shared by the rest of the package.
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
-Sizes stay small (n <= 16 in practice), so clarity wins over throughput.
+Sizes reach n = 32, where an O(n^3) product per atom would dominate, so word
+products run on the in-place column kernel of :mod:`rhochart.words` instead.
 Equality is always tolerance-based via :func:`max_abs_diff`.
 """
 
@@ -77,7 +78,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     n = obj["dim"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("dim must be a positive integer")
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")

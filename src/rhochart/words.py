@@ -117,37 +117,32 @@ class Word:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: an in-place column kernel.  Right-multiplying by a rotation
+# mixes columns i and j, by a phase scales one column, so an atom costs O(n)
+# where a dense product costs O(n^3).  ``decompose`` eliminates through it too.
 
 
-def rotation_matrix(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    m = np.eye(n, dtype=np.complex128)
+def rotate_columns(u: np.ndarray, i: int, j: int, theta: float) -> None:
+    """In place ``u <- u @ R``, R the rotation atom (i, j, theta); 1-based i < j."""
     c, s = math.cos(theta), math.sin(theta)
-    m[i - 1, i - 1] = c
-    m[j - 1, j - 1] = c
-    m[i - 1, j - 1] = s
-    m[j - 1, i - 1] = -s
-    return m
+    col_i, col_j = u[:, i - 1], u[:, j - 1]
+    u[:, i - 1], u[:, j - 1] = c * col_i - s * col_j, s * col_i + c * col_j
 
 
-def phase_matrix(n: int, deltas: Mapping[int, float]) -> np.ndarray:
-    d = np.ones(n, dtype=np.complex128)
-    for idx, val in deltas.items():
-        d[idx - 1] = np.exp(1j * val)
-    return np.diag(d)
-
-
-def atom_matrix(n: int, atom: Atom) -> np.ndarray:
-    if isinstance(atom, RotationAtom):
-        return rotation_matrix(n, atom.i, atom.j, atom.theta)
-    return phase_matrix(n, atom.deltas)
+def phase_column(u: np.ndarray, k: int, delta: float) -> None:
+    """In place ``u <- u @ P``, P the phase exp(i * delta) on 1-based index k."""
+    u[:, k - 1] *= complex(math.cos(delta), math.sin(delta))
 
 
 def evaluate(w: Word) -> np.ndarray:
-    """Product of the atom matrices in listed order (identity when empty)."""
+    """Product of the atoms in listed order (identity when empty)."""
     u = np.eye(w.n, dtype=np.complex128)
     for atom in w.atoms:
-        u = u @ atom_matrix(w.n, atom)
+        if isinstance(atom, RotationAtom):
+            rotate_columns(u, atom.i, atom.j, atom.theta)
+        else:
+            for k, delta in atom.deltas.items():
+                phase_column(u, k, delta)
     return u
 
 

@@ -1,4 +1,6 @@
-"""Shared generators for the test suite (all explicitly seeded)."""
+"""Shared generators and dense references for the test suite (all explicitly seeded)."""
+
+import math
 
 import numpy as np
 
@@ -6,6 +8,37 @@ from rhochart.degeneracy import DegeneracyPattern
 from rhochart.words import PhaseAtom, RotationAtom, Word
 
 TWO_PI = 2.0 * np.pi
+
+
+# dense references: one n x n matrix per atom, multiplied in listed order
+
+
+def dense_rotation(n, i, j, theta):
+    m = np.eye(n, dtype=np.complex128)
+    c, s = math.cos(theta), math.sin(theta)
+    m[i - 1, i - 1] = c
+    m[j - 1, j - 1] = c
+    m[i - 1, j - 1] = s
+    m[j - 1, i - 1] = -s
+    return m
+
+
+def dense_phase(n, deltas):
+    d = np.ones(n, dtype=np.complex128)
+    for idx, val in deltas.items():
+        d[idx - 1] = np.exp(1j * val)
+    return np.diag(d)
+
+
+def dense_product(word):
+    """Reference for ``evaluate``: the product of dense atom matrices."""
+    u = np.eye(word.n, dtype=np.complex128)
+    for atom in word.atoms:
+        if isinstance(atom, RotationAtom):
+            u = u @ dense_rotation(word.n, atom.i, atom.j, atom.theta)
+        else:
+            u = u @ dense_phase(word.n, atom.deltas)
+    return u
 
 
 def all_pairs(n):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from conftest import random_interleaved_word, random_pattern, random_word
+from conftest import dense_phase, dense_rotation, random_interleaved_word, random_pattern, random_word
 from rhochart.builder import (
     build_commutant,
     build_density,
@@ -37,8 +37,6 @@ from rhochart.words import (
     evaluate,
     matches_form,
     normalize,
-    phase_matrix,
-    rotation_matrix,
 )
 
 TWO_PI = 2 * math.pi
@@ -193,10 +191,10 @@ def test_criterion_8_worked_n3_reproduction():
         )
         s2, c2 = math.sin(th) ** 2, math.cos(th) ** 2
         left = (
-            phase_matrix(3, {3: d3})
-            @ rotation_matrix(3, 1, 3, t31)
-            @ phase_matrix(3, {2: dx})
-            @ rotation_matrix(3, 2, 3, tx)
+            dense_phase(3, {3: d3})
+            @ dense_rotation(3, 1, 3, t31)
+            @ dense_phase(3, {2: dx})
+            @ dense_rotation(3, 2, 3, tx)
         )
         explicit = left @ np.diag([s2 / 2, s2 / 2, c2]).astype(complex) @ adjoint(left)
         worst = max(worst, max_abs_diff(build_density(chart), explicit))
@@ -212,10 +210,10 @@ def test_criterion_8_worked_n3_reproduction():
             ),
         )
         left = (
-            phase_matrix(3, {3: d3})
-            @ rotation_matrix(3, 1, 3, t31)
-            @ phase_matrix(3, {1: dx})
-            @ rotation_matrix(3, 1, 2, tx)
+            dense_phase(3, {3: d3})
+            @ dense_rotation(3, 1, 3, t31)
+            @ dense_phase(3, {1: dx})
+            @ dense_rotation(3, 1, 2, tx)
         )
         explicit = left @ np.diag([s2, c2 / 2, c2 / 2]).astype(complex) @ adjoint(left)
         worst = max(worst, max_abs_diff(build_density(chart), explicit))

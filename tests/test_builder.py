@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pattern
+from conftest import dense_phase, dense_product, dense_rotation, random_pattern
 from rhochart.builder import (
     BlockParam,
     CommutantSpec,
@@ -25,7 +25,7 @@ from rhochart.builder import (
 from rhochart.charts import EigenChart, eigen_matrix, eigenvalues
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, orbit_dim, redundant_params
 from rhochart.numerics import adjoint, max_abs_diff
-from rhochart.words import Word, evaluate, make_opor_chart, phase_matrix, rotation_matrix
+from rhochart.words import Word, evaluate, make_opor_chart
 
 TWO_PI = 2 * math.pi
 
@@ -119,10 +119,10 @@ def test_build_density_matches_explicit_product_case_12():
         s2, c2 = math.sin(th) ** 2, math.cos(th) ** 2
         d = np.diag([s2 / 2, s2 / 2, c2]).astype(complex)
         left = (
-            phase_matrix(3, {3: d3})
-            @ rotation_matrix(3, 1, 3, t31)
-            @ phase_matrix(3, {2: d2})
-            @ rotation_matrix(3, 2, 3, t23)
+            dense_phase(3, {3: d3})
+            @ dense_rotation(3, 1, 3, t31)
+            @ dense_phase(3, {2: d2})
+            @ dense_rotation(3, 2, 3, t23)
         )
         explicit = left @ d @ adjoint(left)
         assert max_abs_diff(build_density(chart), explicit) < 1e-12
@@ -138,13 +138,23 @@ def test_build_density_matches_explicit_product_case_23():
         s2, c2 = math.sin(th) ** 2, math.cos(th) ** 2
         d = np.diag([s2, c2 / 2, c2 / 2]).astype(complex)
         left = (
-            phase_matrix(3, {3: d3})
-            @ rotation_matrix(3, 1, 3, t31)
-            @ phase_matrix(3, {1: d1})
-            @ rotation_matrix(3, 1, 2, t12)
+            dense_phase(3, {3: d3})
+            @ dense_rotation(3, 1, 3, t31)
+            @ dense_phase(3, {1: d1})
+            @ dense_rotation(3, 1, 2, t12)
         )
         explicit = left @ d @ adjoint(left)
         assert max_abs_diff(build_density(chart), explicit) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "mults", [(1,) * 32, (2,) + (1,) * 30, (31, 1), (16, 16)], ids=["singletons", "pair", "31-1", "halves"]
+)
+def test_build_density_matches_dense_reference_n32(mults):
+    chart = random_density_chart(pat(*mults), np.random.default_rng(32))
+    u = dense_product(kept_word(chart))
+    explicit = u @ np.diag(eigenvalues(chart.eigen)).astype(complex) @ adjoint(u)
+    assert max_abs_diff(build_density(chart), explicit) < 1e-13
 
 
 def test_density_chart_validation():

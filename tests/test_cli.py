@@ -178,3 +178,29 @@ def test_output_file_and_reparse(capsys, tmp_path):
     obj = json.loads(out_path.read_text())
     again = rc.matrix_to_json(rc.matrix_from_json(obj))
     assert again == obj
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_bool_dim_exit_2(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": True, "entries": [[1.0, 0.0]]}))
+    code, out, err = run(capsys, ["decompose", "--in", str(path)])
+    assert_one_line_usage_error(code, err)
+
+
+def test_missing_input_file_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["verify", "--in", str(tmp_path / "absent.json")])
+    assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_exit_2(capsys, tmp_path, tol):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(rc.matrix_to_json(np.eye(3) / 3)))
+    code, out, err = run(capsys, ["verify", "--tol", tol, "--in", str(good)])
+    assert_one_line_usage_error(code, err)
+    assert out == ""

@@ -91,3 +91,10 @@ def test_boundary_angles_get_zero_phase():
     first_phase = result.word.atoms[0]
     assert isinstance(first_phase, PhaseAtom)
     assert set(first_phase.deltas.values()) == {0.0}
+
+
+def test_decompose_leaves_input_unchanged():
+    u = haar_unitary(5, np.random.default_rng(11))
+    before = u.copy()
+    decompose(u)
+    assert np.array_equal(u, before)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_interleaved_word, random_word
+from conftest import dense_phase, dense_product, dense_rotation, random_interleaved_word, random_word
 from rhochart.numerics import is_unitary, max_abs_diff
 from rhochart.words import (
     FormError,
@@ -21,11 +21,9 @@ from rhochart.words import (
     make_phase_adjoint_chart,
     matches_form,
     normalize,
-    phase_matrix,
     range_reduce,
     rewrite_merge_phases,
     rewrite_pass_through,
-    rotation_matrix,
     word_from_json,
     word_to_json,
 )
@@ -50,6 +48,53 @@ def test_full_chart_evaluates_to_unitary():
     rng = np.random.default_rng(0)
     w = make_opor_chart(3, rng.uniform(0, TWO_PI, 9))
     assert is_unitary(evaluate(w), 1e-12)
+
+
+EDGE_ANGLES = (0.0, math.pi / 2, math.pi, -math.pi / 2)
+finite_angles = st.one_of(
+    st.sampled_from(EDGE_ANGLES),
+    st.floats(min_value=-TWO_PI, max_value=TWO_PI, allow_nan=False),
+)
+
+
+@st.composite
+def kernel_words(draw):
+    """Words at n <= 8 over few pairs (so pairs repeat), with edge angles,
+    empty phases and phases on the preceding rotation's own indices."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=4)) if n > 1 else []
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        if pairs and draw(st.booleans()):
+            i, j = draw(st.sampled_from(pairs))
+            atoms.append(RotationAtom(i, j, draw(finite_angles)))
+            support = draw(st.sets(st.sampled_from((i, j))))
+        else:
+            support = draw(st.sets(st.integers(min_value=1, max_value=n)))
+        atoms.append(PhaseAtom({k: draw(finite_angles) for k in support}))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_words())
+@example(  # repeated pair, edge angles, an empty phase, phases on the rotation's own indices
+    Word(
+        n=3,
+        atoms=(
+            RotationAtom(1, 3, math.pi / 2),
+            PhaseAtom({1: 0.4, 3: -1.1}),
+            RotationAtom(1, 3, -math.pi / 2),
+            PhaseAtom({}),
+            RotationAtom(1, 3, math.pi),
+            RotationAtom(2, 3, 0.0),
+            PhaseAtom({3: math.pi}),
+            RotationAtom(1, 3, 0.7),
+        ),
+    )
+)
+def test_evaluate_matches_dense_product(w):
+    assert max_abs_diff(evaluate(w), dense_product(w)) < 1e-14
 
 
 # chart constructors
@@ -115,14 +160,14 @@ def test_phase_adjoint_matches_explicit_eight_factor_product():
         e1, e2, e3 = rng.uniform(0, TWO_PI, 3)
         w = make_phase_adjoint_chart(3, [d3, t31, d2, t23, d1, t12, e1, e2, e3])
         explicit = (
-            phase_matrix(3, {3: d3})
-            @ rotation_matrix(3, 1, 3, t31)
-            @ phase_matrix(3, {2: d2, 3: -d3})
-            @ rotation_matrix(3, 2, 3, t23)
-            @ phase_matrix(3, {1: d1, 2: -d2})
-            @ rotation_matrix(3, 1, 2, t12)
-            @ phase_matrix(3, {1: -d1})
-            @ phase_matrix(3, {1: e1, 2: e2, 3: e3})
+            dense_phase(3, {3: d3})
+            @ dense_rotation(3, 1, 3, t31)
+            @ dense_phase(3, {2: d2, 3: -d3})
+            @ dense_rotation(3, 2, 3, t23)
+            @ dense_phase(3, {1: d1, 2: -d2})
+            @ dense_rotation(3, 1, 2, t12)
+            @ dense_phase(3, {1: -d1})
+            @ dense_phase(3, {1: e1, 2: e2, 3: e3})
         )
         assert max_abs_diff(evaluate(w), explicit) < 1e-13
 
@@ -165,7 +210,7 @@ def test_pass_through_residual_oracle():
     assert out.atoms[0] == PhaseAtom({1: a - b})
     assert isinstance(out.atoms[1], RotationAtom)
     assert out.atoms[2] == PhaseAtom({1: b, 2: b})
-    direct = phase_matrix(2, {1: a, 2: b}) @ rotation_matrix(2, 1, 2, theta)
+    direct = dense_phase(2, {1: a, 2: b}) @ dense_rotation(2, 1, 2, theta)
     assert max_abs_diff(evaluate(out), direct) < 1e-15
 
 
