@@ -10,23 +10,14 @@ rank check is provided as the numerical oracle for that count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart
-from .degeneracy import (
-    DegeneracyPattern,
-    canonical_order,
-    orbit_dim,
-    redundant_params,
-)
-from .words import PhaseAtom, RotationAtom, Word, evaluate
-
-TWO_PI = 2.0 * math.pi
-HALF_PI = math.pi / 2
+from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
+from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
 
 #: finite-difference step and relative SVD threshold for the rank oracle
 FD_STEP = 1e-6
@@ -130,25 +121,17 @@ class CommutantSpec:
         return 2 * len(self.block_params) + len(self.phases)
 
 
-def _block_atoms(params) -> list:
-    atoms = []
-    for bp in params:
-        a, b = bp.block
-        i, j = min(a, b), max(a, b)
-        atoms.append(PhaseAtom({a: bp.delta}))
-        atoms.append(RotationAtom(i, j, bp.theta))
-    return atoms
+def _blocks(params) -> list:
+    return [(bp.block, bp.delta, bp.theta) for bp in params]
 
 
 def kept_word(c: DensityChart) -> Word:
     """The pruned unitary word: in-class blocks and trailing diagonal removed."""
-    return Word(n=c.pattern.n, atoms=tuple(_block_atoms(c.unitary_params)))
+    return opor_word(c.pattern.n, _blocks(c.unitary_params))
 
 
 def commutant_word(s: CommutantSpec) -> Word:
-    atoms = _block_atoms(s.block_params)
-    atoms.append(PhaseAtom({k + 1: s.phases[k] for k in range(s.pattern.n)}))
-    return Word(n=s.pattern.n, atoms=tuple(atoms))
+    return opor_word(s.pattern.n, _blocks(s.block_params), s.phases)
 
 
 def build_density(c: DensityChart) -> np.ndarray:
@@ -170,17 +153,12 @@ def split_full_params(full_params, pattern: DegeneracyPattern):
     ``canonical_order(pattern)`` followed by n trailing phases.  Returns
     (kept BlockParams, dropped BlockParams, trailing phases).
     """
-    n = pattern.n
-    full_params = [float(p) for p in full_params]
-    if len(full_params) != n * n:
-        raise ValueError(f"expected {n * n} parameters, got {len(full_params)}")
-    order = canonical_order(pattern)
+    blocks, trailing = _split_chart_params(pattern, full_params)
     kept, dropped = [], []
-    for k, lab in enumerate(order):
-        bp = BlockParam(block=lab, delta=full_params[2 * k], theta=full_params[2 * k + 1])
+    for lab, delta, theta in blocks:
+        bp = BlockParam(block=lab, delta=delta, theta=theta)
         (dropped if pattern.same_class(*lab) else kept).append(bp)
-    trailing = tuple(full_params[2 * len(order) :])
-    return tuple(kept), tuple(dropped), trailing
+    return tuple(kept), tuple(dropped), tuple(trailing)
 
 
 def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None) -> DensityChart:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import builder, charts, degeneracy, numerics, words
+from . import builder, degeneracy, numerics, words
 from .decompose import NotUnitaryError
 from .decompose import decompose as decompose_matrix
 
@@ -28,6 +28,13 @@ EXIT_UNREACHABLE = 4
 
 class _UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as a usage error: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 class _ValidationFailure(Exception):
@@ -92,14 +99,7 @@ def cmd_build(args):
         obj = _read_json(args)
         if "pattern" in obj and list(obj["pattern"]) != list(pattern.multiplicities):
             raise _UsageError("pattern in params file differs from --pattern")
-        eigen = charts.EigenChart(pattern=pattern, angles=tuple(obj["eigen_angles"]))
-        params = tuple(
-            builder.BlockParam(
-                block=tuple(e["block"]), delta=float(e["delta"]), theta=float(e["theta"])
-            )
-            for e in obj["unitary_params"]
-        )
-        chart = builder.DensityChart(pattern=pattern, eigen=eigen, unitary_params=params)
+        chart = builder.DensityChart.from_json({**obj, "pattern": pattern.multiplicities})
     rho = builder.build_density(chart)
     report = builder.validate_density(rho, tol=args.tol)
     payload = {
@@ -148,7 +148,7 @@ def cmd_commutant(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhochart",
         description="density-matrix charts: counting, building, rewriting, decomposition",
     )
@@ -195,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
     except words.UnreachableFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import Word, evaluate, make_opor_chart, phase_column, rotate_columns
-
-TWO_PI = 2.0 * math.pi
+from .words import TWO_PI, Word, evaluate, make_opor_chart, phase_column, rotate_columns
 
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14

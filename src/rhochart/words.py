@@ -13,6 +13,14 @@ and three angular normal forms are supported:
 * km: all phases are pushed into the two outermost diagonals except for
   (n-1)(n-2)/2 single-index phases that cannot be removed by rephasing.
 
+All three are one product of phase-dressed rotations; they differ only in
+where each block's phase is written.  The common intermediate is the block
+form: ``(label, delta, theta)`` blocks, ``label`` the oriented pair (a, b)
+whose index a carries the phase, plus n trailing phases.  :func:`_sweep`
+brings a unique-pair word into it; :func:`opor_word` renders it as P_a R,
+:func:`_phase_adjoint_word` as P_a R P_a^dagger, and km reads each block's
+conjugation phase, the a - b difference of the running block-phase sum.
+
 Rewrites never change the evaluation.  The basic moves are merging adjacent
 diagonals and passing a diagonal through a rotation: on the rotation's
 support, diag(a, b) R = diag(a/b, 1) R diag(b, b), so a common phase commutes
@@ -150,21 +158,44 @@ def evaluate(w: Word) -> np.ndarray:
 # chart constructors
 
 
-def _singleton_order(n: int) -> tuple[tuple[int, int], ...]:
-    return canonical_order(DegeneracyPattern.singletons(n))
-
-
-def chart_param_count(n: int) -> int:
-    return n * n
-
-
-def _split_chart_params(n: int, params) -> tuple[list[tuple[float, float]], list[float]]:
+def _split_chart_params(pattern: DegeneracyPattern, params):
+    """Blocks ``(label, delta, theta)`` in ``canonical_order(pattern)`` and the
+    n trailing phases of a flat n^2 chart parameter vector."""
     params = [float(p) for p in params]
-    m = n * (n - 1) // 2
+    n = pattern.n
     if len(params) != n * n:
         raise ValueError(f"expected {n * n} parameters, got {len(params)}")
-    blocks = [(params[2 * k], params[2 * k + 1]) for k in range(m)]
-    return blocks, params[2 * m :]
+    order = canonical_order(pattern)
+    blocks = [(lab, params[2 * k], params[2 * k + 1]) for k, lab in enumerate(order)]
+    return blocks, params[2 * len(order) :]
+
+
+def _diagonal(phases) -> PhaseAtom:
+    return PhaseAtom(dict(enumerate(phases, start=1)))
+
+
+def opor_word(n: int, blocks, trailing=None) -> Word:
+    """Render blocks ``(label, delta, theta)`` as P_a(delta) R_ab(theta) ...,
+    closed by the diagonal of ``trailing`` when given."""
+    atoms: list[Atom] = []
+    for (a, b), delta, theta in blocks:
+        atoms.append(PhaseAtom({a: delta}))
+        atoms.append(RotationAtom(min(a, b), max(a, b), theta))
+    if trailing is not None:
+        atoms.append(_diagonal(trailing))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+def _phase_adjoint_word(n: int, blocks, trailing) -> Word:
+    """Render blocks ``(label, psi, theta)`` as P_a(psi) R_ab(theta) P_a(-psi) ...,
+    closed by the diagonal of ``trailing``."""
+    atoms: list[Atom] = []
+    for (a, b), psi, theta in blocks:
+        atoms.append(PhaseAtom({a: psi}))
+        atoms.append(RotationAtom(min(a, b), max(a, b), theta))
+        atoms.append(PhaseAtom({a: -psi}))
+    atoms.append(_diagonal(trailing))
+    return Word(n=n, atoms=tuple(atoms))
 
 
 def make_opor_chart(n: int, params) -> Word:
@@ -174,14 +205,7 @@ def make_opor_chart(n: int, params) -> Word:
     :func:`canonical_order` for the all-singleton pattern, followed by the n
     trailing diagonal phases.  Total length n^2.
     """
-    blocks, etas = _split_chart_params(n, params)
-    atoms: list[Atom] = []
-    for (a, b), (delta, theta) in zip(_singleton_order(n), blocks):
-        i, j = min(a, b), max(a, b)
-        atoms.append(PhaseAtom({a: delta}))
-        atoms.append(RotationAtom(i, j, theta))
-    atoms.append(PhaseAtom({k + 1: etas[k] for k in range(n)}))
-    return Word(n=n, atoms=tuple(atoms))
+    return opor_word(n, *_split_chart_params(DegeneracyPattern.singletons(n), params))
 
 
 def make_phase_adjoint_chart(n: int, params) -> Word:
@@ -191,15 +215,7 @@ def make_phase_adjoint_chart(n: int, params) -> Word:
     Same flat parameter layout as :func:`make_opor_chart` (n^2 values, of
     which n(n+1)/2 are phases).
     """
-    blocks, etas = _split_chart_params(n, params)
-    atoms: list[Atom] = []
-    for (a, b), (psi, theta) in zip(_singleton_order(n), blocks):
-        i, j = min(a, b), max(a, b)
-        atoms.append(PhaseAtom({a: psi}))
-        atoms.append(RotationAtom(i, j, theta))
-        atoms.append(PhaseAtom({a: -psi}))
-    atoms.append(PhaseAtom({k + 1: etas[k] for k in range(n)}))
-    return Word(n=n, atoms=tuple(atoms))
+    return _phase_adjoint_word(n, *_split_chart_params(DegeneracyPattern.singletons(n), params))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +358,8 @@ def _reduce_angle(theta: float):
     return TWO_PI - th, {"j": math.pi}, {"j": math.pi}
 
 
-def _opor_sweep(w: Word, reduce_ranges: bool) -> Word:
-    """Push all phases rightward, leaving one phase per rotation block.
+def _sweep(w: Word, reduce_ranges: bool):
+    """Push all phases rightward into block form: (blocks, trailing phases).
 
     The running diagonal accumulates every phase seen so far; at each
     rotation it splits into a single residual on the block's designated
@@ -352,46 +368,37 @@ def _opor_sweep(w: Word, reduce_ranges: bool) -> Word:
     joining the running diagonal.
     """
     phi = [0.0] * w.n
-    atoms: list[Atom] = []
+    blocks = []
     for atom in w.atoms:
         if isinstance(atom, PhaseAtom):
             for idx, val in atom.deltas.items():
                 phi[idx - 1] += val
             continue
         i, j, theta = atom.i, atom.j, atom.theta
-        a = oriented_pair(i, j, w.n)[0]
+        a, b = oriented_pair(i, j, w.n)
         if reduce_ranges:
             theta, left, right = _reduce_angle(theta)
             phi[i - 1] += left.get("i", 0.0)
             phi[j - 1] += left.get("j", 0.0)
-        if a == i:
-            residual = phi[i - 1] - phi[j - 1]
-            phi[i - 1] = phi[j - 1]
-        else:
-            residual = phi[j - 1] - phi[i - 1]
-            phi[j - 1] = phi[i - 1]
+        residual = phi[a - 1] - phi[b - 1]
+        phi[a - 1] = phi[b - 1]
         if reduce_ranges:
             phi[i - 1] += right.get("i", 0.0)
             phi[j - 1] += right.get("j", 0.0)
-        atoms.append(PhaseAtom({a: _wrap(residual)}))
-        atoms.append(RotationAtom(i, j, theta))
-    atoms.append(PhaseAtom({k + 1: _wrap(phi[k]) for k in range(w.n)}))
-    return Word(n=w.n, atoms=tuple(atoms))
+        blocks.append(((a, b), _wrap(residual), theta))
+    return blocks, [_wrap(p) for p in phi]
 
 
-def _dressed_rotations(w: Word):
-    """Fold every phase into rotation dressings: the word equals the product
-    of conjugated rotations (psi = phase difference across the pair) times
-    one trailing diagonal."""
-    phi = [0.0] * w.n
+def _conjugated(n: int, blocks, trailing):
+    """Block form with conjugation phases: each block's phase becomes the
+    a - b difference of the running sum of block phases, up to and including
+    its own, and the trailing phases absorb the whole sum.  All wrapped."""
+    phi = [0.0] * n
     dressed = []
-    for atom in w.atoms:
-        if isinstance(atom, PhaseAtom):
-            for idx, val in atom.deltas.items():
-                phi[idx - 1] += val
-        else:
-            dressed.append((atom.i, atom.j, atom.theta, phi[atom.i - 1] - phi[atom.j - 1]))
-    return dressed, phi
+    for (a, b), delta, theta in blocks:
+        phi[a - 1] += delta
+        dressed.append(((a, b), _wrap(phi[a - 1] - phi[b - 1]), theta))
+    return dressed, [_wrap(p + t) for p, t in zip(phi, trailing)]
 
 
 def _normalize_km(w: Word) -> Word:
@@ -399,14 +406,14 @@ def _normalize_km(w: Word) -> Word:
 
     Between consecutive rotations the running diagonal may change on a
     single index only.  A rotation whose pair links two index groups not yet
-    tied together can have its dressing phase absorbed into the left outer
+    tied together can have its conjugation phase absorbed into the left outer
     diagonal (the groups' relative offset is still free); once a pair closes
     a cycle the offset is pinned and one inner phase remains.  A weighted
     union-find tracks the pinned offsets, so a full chart keeps exactly
     (n-1)(n-2)/2 inner phases.
     """
-    dressed, q = _dressed_rotations(w)
     n = w.n
+    dressed, q = _conjugated(n, *_sweep(w, reduce_ranges=False))
 
     parent = list(range(n))
     pot = [0.0] * n  # offset of the left outer diagonal relative to the root
@@ -419,47 +426,31 @@ def _normalize_km(w: Word) -> Word:
         return x, acc
 
     off = [0.0] * n  # inner-phase increments applied so far
-    middles: list = [None] * len(dressed)
-    for k, (i, j, _, psi) in enumerate(dressed):
+    rotations = []  # (rotation, wrapped inner phase on its index i or None)
+    for (a, b), psi, theta in dressed:
+        i, j = min(a, b), max(a, b)
+        if a != i:
+            psi = -psi  # the union-find works on the i - j difference
         ri, pi = find(i - 1)
         rj, pj = find(j - 1)
+        inner = None
         if ri != rj:
-            diff = psi - off[i - 1] + off[j - 1]
             parent[ri] = rj
-            pot[ri] = diff - pi + pj
+            pot[ri] = psi - off[i - 1] + off[j - 1] - pi + pj
         else:
-            current = (pi + off[i - 1]) - (pj + off[j - 1])
-            inc = psi - current
-            middles[k] = (i, inc)
+            inc = psi - ((pi + off[i - 1]) - (pj + off[j - 1]))
             off[i - 1] += inc
+            inner = _wrap(inc)
+        rotations.append((RotationAtom(i, j, theta), inner))
 
     left = [find(x)[1] for x in range(n)]
-    right = [q[x] - (left[x] + off[x]) for x in range(n)]
-
-    atoms: list[Atom] = [PhaseAtom({k + 1: _wrap(left[k]) for k in range(n)})]
-    for k, (i, j, theta, _) in enumerate(dressed):
-        if middles[k] is not None:
-            idx, inc = middles[k]
-            wrapped = _wrap(inc)
-            if wrapped != 0.0:
-                atoms.append(PhaseAtom({idx: wrapped}))
-        atoms.append(RotationAtom(i, j, theta))
-    atoms.append(PhaseAtom({k + 1: _wrap(right[k]) for k in range(n)}))
-    return Word(n=w.n, atoms=tuple(atoms))
-
-
-def _normalize_phase_adjoint(w: Word) -> Word:
-    dressed, q = _dressed_rotations(w)
-    atoms: list[Atom] = []
-    for i, j, theta, psi in dressed:
-        a = oriented_pair(i, j, w.n)[0]
-        signed = psi if a == i else -psi
-        wrapped = _wrap(signed)
-        atoms.append(PhaseAtom({a: wrapped}))
-        atoms.append(RotationAtom(i, j, theta))
-        atoms.append(PhaseAtom({a: -wrapped}))
-    atoms.append(PhaseAtom({k + 1: _wrap(q[k]) for k in range(w.n)}))
-    return Word(n=w.n, atoms=tuple(atoms))
+    atoms: list[Atom] = [_diagonal(_wrap(x) for x in left)]
+    for rot, inner in rotations:
+        if inner:
+            atoms.append(PhaseAtom({rot.i: inner}))
+        atoms.append(rot)
+    atoms.append(_diagonal(_wrap(q[x] - (left[x] + off[x])) for x in range(n)))
+    return Word(n=n, atoms=tuple(atoms))
 
 
 def normalize(w: Word, target: WordForm) -> Word:
@@ -472,9 +463,9 @@ def normalize(w: Word, target: WordForm) -> Word:
         return w
     _check_unique_pairs(w)
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
-        return _opor_sweep(w, reduce_ranges=False)
+        return opor_word(w.n, *_sweep(w, reduce_ranges=False))
     if target is WordForm.PHASE_ADJOINT:
-        return _normalize_phase_adjoint(w)
+        return _phase_adjoint_word(w.n, *_conjugated(w.n, *_sweep(w, reduce_ranges=False)))
     if target is WordForm.KM:
         return _normalize_km(w)
     raise ValueError(f"unknown target form {target!r}")
@@ -490,7 +481,7 @@ def range_reduce(w: Word) -> Word:
         raise FormError("range_reduce expects a one phase-one rotation word")
     if not w.atoms:
         return w
-    return _opor_sweep(w, reduce_ranges=True)
+    return opor_word(w.n, *_sweep(w, reduce_ranges=True))
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +525,20 @@ def _is_phase_adjoint(w: Word) -> bool:
     return True
 
 
-def _is_km(w: Word) -> bool:
-    atoms = list(w.atoms)
-    if not atoms:
-        return False
-    if isinstance(atoms[0], PhaseAtom):
+def _inner_atoms(w: Word) -> tuple[Atom, ...]:
+    """The atoms of ``w`` without its leading and trailing diagonals."""
+    atoms = w.atoms
+    if atoms and isinstance(atoms[0], PhaseAtom):
         atoms = atoms[1:]
     if atoms and isinstance(atoms[-1], PhaseAtom):
         atoms = atoms[:-1]
+    return atoms
+
+
+def _is_km(w: Word) -> bool:
     saw_rotation = False
     previous_was_phase = False
-    for atom in atoms:
+    for atom in _inner_atoms(w):
         if isinstance(atom, RotationAtom):
             saw_rotation = True
             previous_was_phase = False
@@ -581,22 +575,14 @@ def count_phases(w: Word) -> tuple[int, int]:
     the km form the two outer diagonals share one global phase, hence
     2n - 1 external parameters.
     """
-    if not any(isinstance(a, PhaseAtom) for a in w.atoms):
-        if all(isinstance(a, RotationAtom) for a in w.atoms):
-            return (0, 0)
+    if all(isinstance(a, RotationAtom) for a in w.atoms):
+        return (0, 0)
     form = classify_form(w)
     rotations = len(w.rotation_pairs())
-    if form is WordForm.ONE_PHASE_ONE_ROTATION:
-        return (max(rotations - 1, 0), (1 if rotations else 0) + w.n)
-    if form is WordForm.PHASE_ADJOINT:
+    if form in (WordForm.ONE_PHASE_ONE_ROTATION, WordForm.PHASE_ADJOINT):
         return (max(rotations - 1, 0), (1 if rotations else 0) + w.n)
     if form is WordForm.KM:
-        atoms = list(w.atoms)
-        if atoms and isinstance(atoms[0], PhaseAtom):
-            atoms = atoms[1:]
-        if atoms and isinstance(atoms[-1], PhaseAtom):
-            atoms = atoms[:-1]
-        internal = sum(1 for a in atoms if isinstance(a, PhaseAtom))
+        internal = sum(1 for a in _inner_atoms(w) if isinstance(a, PhaseAtom))
         return (internal, 2 * w.n - 1)
     raise FormError("word is not in a recognized form")
 

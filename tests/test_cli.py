@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhochart as rc
 from rhochart.cli import main
@@ -204,3 +210,113 @@ def test_bad_tol_exit_2(capsys, tmp_path, tol):
     code, out, err = run(capsys, ["verify", "--tol", tol, "--in", str(good)])
     assert_one_line_usage_error(code, err)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, contents",
+    [
+        (["rewrite", "--to", "km"], {"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}),
+        (["rewrite", "--to", "opor"], {"n": 2, "atoms": None}),
+        (["verify"], {"dim": 2, "entries": 5}),
+        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"phase": [1]}]}),
+        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": 10**400}]}),
+        (["verify"], {"dim": 1, "entries": [[10**400, 0]]}),
+    ],
+)
+def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(contents))
+    code, out, err = run(capsys, argv + ["--in", str(path)])
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+def test_missing_required_option_exit_2_without_usage_line(capsys, tmp_path):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({"n": 2, "atoms": []}))
+    code, out, err = run(capsys, ["rewrite", "--in", str(path)])
+    assert_one_line_usage_error(code, err)
+    assert "--to" in err
+
+
+# fuzzing: valid inputs with one subtree replaced or one key dropped, plus raw text
+
+FUZZ_CASES = {
+    "rewrite": (
+        ["rewrite", "--to", "km"],
+        {
+            "n": 3,
+            "atoms": [
+                {"phase": {"1": 0.3, "3": 1.0}},
+                {"rot": [1, 3], "theta": 0.4},
+                {"rot": [2, 3], "theta": 1.0},
+            ],
+        },
+    ),
+    "decompose": (["decompose"], {"dim": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}),
+    "verify": (["verify"], {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}),
+    "build": (
+        ["build", "--pattern", "2,1"],
+        {
+            "pattern": [2, 1],
+            "eigen_angles": [0.7],
+            "unitary_params": [
+                {"block": [3, 1], "delta": 0.5, "theta": 0.2},
+                {"block": [2, 3], "delta": 1.5, "theta": 0.9},
+            ],
+        },
+    ),
+}
+
+# small integers only, and one too large for a float: a word's n sizes an n x n matrix
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 9),
+        st.just(10**400),
+        st.floats(),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one subtree replaced by arbitrary JSON or one dict key dropped."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
+        if isinstance(copy, dict) and draw(st.booleans()):
+            del copy[key]
+        else:
+            copy[key] = draw(mutated(value[key]))
+        return copy
+    return draw(json_values)
+
+
+@st.composite
+def malformed_requests(draw):
+    argv, valid = FUZZ_CASES[draw(st.sampled_from(sorted(FUZZ_CASES)))]
+    text = draw(st.one_of(mutated(valid).map(json.dumps), st.text(max_size=20)))
+    return argv, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_requests())
+def test_cli_exit_contract_under_malformed_json(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--in", path])
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines

@@ -327,6 +327,51 @@ def test_normalize_phase_adjoint_round_trip():
         assert classify_form(out) in (WordForm.PHASE_ADJOINT, OPOR)
 
 
+edge_thetas = st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(min_value=-10.0, max_value=10.0))
+edge_phases = st.one_of(
+    st.sampled_from((0.0, -0.0, TWO_PI, -TWO_PI)),
+    st.floats(min_value=-1e-14, max_value=1e-14),
+    st.floats(min_value=TWO_PI - 1e-14, max_value=TWO_PI + 1e-14),
+    st.floats(min_value=-TWO_PI, max_value=TWO_PI),
+)
+
+
+@st.composite
+def edge_words(draw):
+    """Unique-pair words at n = 2..8 with edge angles and phases hugging 0 and 2*pi."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = draw(st.permutations([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))
+    atoms = []
+    for i, j in pairs[: draw(st.integers(min_value=1, max_value=min(len(pairs), 12)))]:
+        support = draw(st.sets(st.integers(min_value=1, max_value=n)))
+        if support:
+            atoms.append(PhaseAtom({k: draw(edge_phases) for k in support}))
+        atoms.append(RotationAtom(i, j, draw(edge_thetas)))
+    support = draw(st.sets(st.integers(min_value=1, max_value=n)))
+    if support:
+        atoms.append(PhaseAtom({k: draw(edge_phases) for k in support}))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_words())
+def test_normal_forms_at_the_edges(w):
+    u = evaluate(w)
+    opor = normalize(w, OPOR)
+    reduced = range_reduce(opor)
+    outputs = (
+        (OPOR, opor),
+        (WordForm.PHASE_ADJOINT, normalize(w, WordForm.PHASE_ADJOINT)),
+        (WordForm.KM, normalize(w, WordForm.KM)),
+        (OPOR, reduced),
+    )
+    for form, out in outputs:
+        assert max_abs_diff(evaluate(out), u) < 1e-12
+        assert classify_form(out) is form
+    assert normalize(opor, OPOR) == opor
+    assert range_reduce(reduced) == reduced
+
+
 # range reduction
 
 def test_range_reduce_negative_angle():
