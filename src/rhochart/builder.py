@@ -4,24 +4,27 @@ A density chart holds a degeneracy pattern, eigenvalue angles and one
 (phase, angle) pair per rotation block that joins two different eigenvalue
 classes.  Blocks inside a class commute with the eigenvalue matrix and are
 pruned, together with the trailing diagonal, so the chart carries exactly
-``orbit_dim(pattern)`` unitary parameters.  A finite-difference Jacobian
-rank check is provided as the numerical oracle for that count.
+``orbit_dim(pattern)`` unitary parameters.  The numerical oracle for that
+count is the rank of the exact Jacobian of rho, whose unitary columns are
+commutators [X, rho] read off one sweep over the chart word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics
-from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart
+from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
 from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
+from .words import phase_column, rotate_columns
 
-#: finite-difference step and relative SVD threshold for the rank oracle
-FD_STEP = 1e-6
+#: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
+INTERIOR_MARGIN = 1e-6
 
 #: minimum class-mass separation for a chart to count as interior
 MASS_GAP = 1e-6
@@ -109,10 +112,6 @@ class CommutantSpec:
         got = tuple(bp.block for bp in self.block_params)
         if got != expected:
             raise ValueError(f"expected in-class blocks {expected}, got {got}")
-        for bp in self.block_params:
-            a, b = bp.block
-            if not self.pattern.same_class(a, b):
-                raise ValueError(f"block {bp.block} crosses a class boundary")
         if len(self.phases) != self.pattern.n:
             raise ValueError(f"expected {self.pattern.n} diagonal phases")
 
@@ -175,11 +174,7 @@ def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None
         # generic interior spectrum: class masses proportional to 1, 2, ..., k
         k = pattern.num_classes
         masses = [2.0 * (m + 1) / (k * (k + 1)) for m in range(k)]
-        spectrum = [0.0] * pattern.n
-        for mass, cls in zip(masses, pattern.classes):
-            for idx in cls:
-                spectrum[idx - 1] = mass / len(cls)
-        eigen = fit_chart(spectrum, pattern)
+        eigen = fit_chart(spread(pattern, masses), pattern)
     else:
         eigen = EigenChart(pattern=pattern, angles=tuple(eigen_angles))
     return DensityChart(pattern=pattern, eigen=eigen, unitary_params=kept)
@@ -189,73 +184,72 @@ def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None
 # numerical rank oracle
 
 
-def _chart_with(c: DensityChart, unitary_values, eigen_values) -> DensityChart:
-    params = tuple(
-        BlockParam(block=bp.block, delta=float(d) % TWO_PI, theta=float(t))
-        for bp, (d, t) in zip(c.unitary_params, zip(unitary_values[::2], unitary_values[1::2]))
-    )
-    eigen = EigenChart(pattern=c.pattern, angles=tuple(float(a) for a in eigen_values))
-    return DensityChart(pattern=c.pattern, eigen=eigen, unitary_params=params)
-
-
-def _require_interior(c: DensityChart, step: float):
+def _require_interior(c: DensityChart):
     for bp in c.unitary_params:
-        if not (step < bp.theta < HALF_PI - step):
+        if not (INTERIOR_MARGIN < bp.theta < HALF_PI - INTERIOR_MARGIN):
             raise ValueError(f"block {bp.block}: theta {bp.theta} is not interior")
-        if not (step < bp.delta < TWO_PI - step):
+        if not (INTERIOR_MARGIN < bp.delta < TWO_PI - INTERIOR_MARGIN):
             raise ValueError(f"block {bp.block}: delta {bp.delta} is not interior")
     for a in c.eigen.angles:
-        if not (step < a < HALF_PI - step):
+        if not (INTERIOR_MARGIN < a < HALF_PI - INTERIOR_MARGIN):
             raise ValueError(f"eigen angle {a} is not interior")
-    masses = class_masses(c.eigen)
-    for p in range(len(masses)):
-        for q in range(p + 1, len(masses)):
-            if abs(masses[p] - masses[q]) < MASS_GAP:
-                raise ValueError("class masses too close; pattern would be accidentally larger")
+    if _mass_gap(c.eigen) < MASS_GAP:
+        raise ValueError("class masses too close; pattern would be accidentally larger")
 
 
-def jacobian_rank(
-    c: DensityChart,
-    include_eigen: bool = False,
-    step: float = FD_STEP,
-    svd_threshold: float = SVD_THRESHOLD,
-) -> int:
-    """Numerical rank of d(rho)/d(params) at the chart point.
+def _mass_gap(eigen: EigenChart) -> float:
+    """Least separation of two class masses (infinite for one class)."""
+    masses = sorted(class_masses(eigen))
+    return min((q - p for p, q in zip(masses, masses[1:])), default=math.inf)
 
-    Central differences with the given step; rank counts singular values
-    above ``svd_threshold`` relative to the largest.  The chart must be
-    interior: angles strictly inside their ranges and class masses separated,
-    otherwise the rank would not reflect the declared pattern.
+
+def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
+    """Exact d(rho)/d(params), columns in chart order then the eigen angles,
+    rows the real then imaginary parts of rho.
+
+    After a block's phase on index a the word prefix W gives X = i w_a w_a^dagger,
+    after its rotation on (i, j) X = w_i w_j^dagger - w_j w_i^dagger (dR/dtheta =
+    R J = J R, so either prefix serves); the column is X rho - rho X.  At the
+    end W = U, and an eigen angle moves rho along U diag(d lambda) U^dagger.
     """
-    _require_interior(c, step)
-    base_u = []
+    n = c.pattern.n
+    rho = build_density(c)
+    w = np.eye(n, dtype=np.complex128)
+    gens = []
     for bp in c.unitary_params:
-        base_u.extend([bp.delta, bp.theta])
-    base_e = list(c.eigen.angles)
-    num_u = len(base_u)
-    num_params = num_u + (len(base_e) if include_eigen else 0)
-    if num_params == 0:
-        return 0
+        a = bp.block[0]
+        phase_column(w, a, bp.delta)
+        gens.append(1j * np.outer(w[:, a - 1], w[:, a - 1].conj()))
+        i, j = sorted(bp.block)
+        rotate_columns(w, i, j, bp.theta)
+        x = np.outer(w[:, i - 1], w[:, j - 1].conj())
+        gens.append(x - x.conj().T)
+    columns = [x @ rho - rho @ x for x in gens]
+    if include_eigen:
+        # mass_m = cos^2(a_{m-1}) prod_{t >= m} sin^2(a_t), so d mass_m / d a_t
+        # is mass_m * 2 cot(a_t) for m <= t, mass_m * -2 tan(a_t) for m = t + 1
+        masses = class_masses(c.eigen)
+        for t, a in enumerate(c.eigen.angles):
+            tan = math.tan(a)
+            dmass = [2.0 * mass / tan for mass in masses[: t + 1]] + [-2.0 * tan * masses[t + 1]]
+            dmass += [0.0] * (len(masses) - len(dmass))
+            dlam = np.asarray(spread(c.pattern, dmass))
+            columns.append((w * dlam) @ numerics.adjoint(w))
+    jac = np.array(columns, dtype=np.complex128).reshape(len(columns), n * n).T
+    return np.concatenate([jac.real, jac.imag])
 
-    def rho_flat(vec) -> np.ndarray:
-        u = vec[:num_u]
-        e = vec[num_u:] if include_eigen else base_e
-        rho = build_density(_chart_with(c, u, e))
-        return np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)])
 
-    point = np.array(base_u + (base_e if include_eigen else []), dtype=float)
-    columns = []
-    for p in range(num_params):
-        plus = point.copy()
-        minus = point.copy()
-        plus[p] += step
-        minus[p] -= step
-        columns.append((rho_flat(plus) - rho_flat(minus)) / (2.0 * step))
-    jac = np.stack(columns, axis=1)
-    sv = np.linalg.svd(jac, compute_uv=False)
+def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
+    """Numerical rank of the exact d(rho)/d(params): singular values above
+    ``SVD_THRESHOLD`` relative to the largest.  The chart must be interior,
+    angles ``INTERIOR_MARGIN`` inside their ranges and class masses separated,
+    or the rank would not reflect the declared pattern.
+    """
+    _require_interior(c)
+    sv = np.linalg.svd(_jacobian(c, include_eigen), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > svd_threshold * sv[0]))
+    return int(np.sum(sv > SVD_THRESHOLD * sv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +265,7 @@ class DensityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "hermiticity_error": self.hermiticity_error,
-            "trace_error": self.trace_error,
-            "min_eigenvalue": self.min_eigenvalue,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def validate_density(m: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> DensityReport:
@@ -327,15 +315,7 @@ def random_density_chart(
             pattern=pattern,
             angles=tuple(float(a) for a in rng.uniform(margin, HALF_PI - margin, size=k - 1)),
         )
-        if not interior:
-            break
-        masses = class_masses(eigen)
-        gaps = [
-            abs(masses[p] - masses[q])
-            for p in range(k)
-            for q in range(p + 1, k)
-        ]
-        if not gaps or min(gaps) >= 10 * MASS_GAP:
+        if not interior or _mass_gap(eigen) >= 10 * MASS_GAP:
             break
     return DensityChart(pattern=pattern, eigen=eigen, unitary_params=blocks)
 

@@ -59,15 +59,20 @@ def class_masses(c: EigenChart) -> list[float]:
     return masses
 
 
-def eigenvalues(c: EigenChart) -> list[float]:
-    """Spectrum in index order; entries inside one class are bitwise equal."""
-    masses = class_masses(c)
-    values = [0.0] * c.pattern.n
-    for mass, cls in zip(masses, c.pattern.classes):
+def spread(pattern: DegeneracyPattern, masses) -> list[float]:
+    """Per-index values in index order, each class's mass shared equally by its
+    indices; entries inside one class are bitwise equal."""
+    values = [0.0] * pattern.n
+    for mass, cls in zip(masses, pattern.classes):
         share = mass / len(cls)
         for idx in cls:
             values[idx - 1] = share
     return values
+
+
+def eigenvalues(c: EigenChart) -> list[float]:
+    """Spectrum in index order."""
+    return spread(c.pattern, class_masses(c))
 
 
 def eigen_matrix(c: EigenChart) -> np.ndarray:

@@ -25,6 +25,9 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_UNREACHABLE = 4
 
+#: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
+MAX_DIM = 256
+
 
 class _UsageError(ValueError):
     pass
@@ -58,10 +61,20 @@ def _emit(args, payload: dict):
         sys.stdout.write(text + "\n")
 
 
+def _check_dim(n: int):
+    if n > MAX_DIM:
+        raise _UsageError(f"dimension {n} exceeds the limit of {MAX_DIM}")
+
+
 def _pattern_from_args(args) -> degeneracy.DegeneracyPattern:
     if not args.pattern:
         raise _UsageError("--pattern is required")
-    pattern = degeneracy.DegeneracyPattern.parse(args.pattern)
+    try:
+        mults = [int(part) for part in args.pattern.split(",")]
+    except ValueError:
+        raise _UsageError(f"malformed pattern string: {args.pattern!r}") from None
+    _check_dim(sum(mults))  # before the classes of "--pattern 1000000000" fill memory
+    pattern = degeneracy.DegeneracyPattern.from_multiplicities(mults)
     if args.n is not None and args.n != pattern.n:
         raise _UsageError(f"--n {args.n} inconsistent with pattern of size {pattern.n}")
     return pattern
@@ -115,6 +128,7 @@ def cmd_build(args):
 
 def cmd_rewrite(args):
     word = words.word_from_json(_read_json(args))
+    _check_dim(word.n)
     target = {"opor": words.WordForm.ONE_PHASE_ONE_ROTATION, "km": words.WordForm.KM}[args.to]
     rewritten = words.normalize(word, target)
     diff = numerics.max_abs_diff(words.evaluate(word), words.evaluate(rewritten))

@@ -107,8 +107,8 @@ class Word:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         for atom in self.atoms:
             if isinstance(atom, RotationAtom):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from rhochart.builder import BlockParam, DensityChart, build_density
+from rhochart.charts import EigenChart
 from rhochart.degeneracy import DegeneracyPattern
 from rhochart.words import PhaseAtom, RotationAtom, Word
 
@@ -39,6 +41,42 @@ def dense_product(word):
         else:
             u = u @ dense_phase(word.n, atom.deltas)
     return u
+
+
+# finite-difference reference for the exact rank-oracle Jacobian
+
+FD_STEP = 1e-6
+
+
+def _chart_with(c, unitary_values, eigen_values):
+    params = tuple(
+        BlockParam(block=bp.block, delta=float(d) % TWO_PI, theta=float(t))
+        for bp, (d, t) in zip(c.unitary_params, zip(unitary_values[::2], unitary_values[1::2]))
+    )
+    eigen = EigenChart(pattern=c.pattern, angles=tuple(float(a) for a in eigen_values))
+    return DensityChart(pattern=c.pattern, eigen=eigen, unitary_params=params)
+
+
+def fd_jacobian(c, include_eigen=False):
+    """Central differences of ``build_density`` over (delta, theta) per block,
+    then the eigen angles; rows are the real then imaginary parts of rho."""
+    base_u = [v for bp in c.unitary_params for v in (bp.delta, bp.theta)]
+    base_e = list(c.eigen.angles)
+    num_u = len(base_u)
+    point = np.array(base_u + (base_e if include_eigen else []), dtype=float)
+
+    def rho_flat(vec):
+        e = vec[num_u:] if include_eigen else base_e
+        rho = build_density(_chart_with(c, vec[:num_u], e))
+        return np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)])
+
+    columns = []
+    for p in range(point.size):
+        plus, minus = point.copy(), point.copy()
+        plus[p] += FD_STEP
+        minus[p] -= FD_STEP
+        columns.append((rho_flat(plus) - rho_flat(minus)) / (2.0 * FD_STEP))
+    return np.stack(columns, axis=1) if columns else np.zeros((2 * c.pattern.n**2, 0))
 
 
 def all_pairs(n):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_phase, dense_product, dense_rotation, random_pattern
+from conftest import dense_phase, dense_product, dense_rotation, fd_jacobian, random_pattern
 from rhochart.builder import (
+    SVD_THRESHOLD,
     BlockParam,
     CommutantSpec,
     DensityChart,
     build_commutant,
     build_density,
     commutant_word,
+    _jacobian,
     dropped_blocks,
     jacobian_rank,
     kept_blocks,
@@ -23,7 +25,13 @@ from rhochart.builder import (
     validate_density,
 )
 from rhochart.charts import EigenChart, eigen_matrix, eigenvalues
-from rhochart.degeneracy import DegeneracyPattern, canonical_order, orbit_dim, redundant_params
+from rhochart.degeneracy import (
+    DegeneracyPattern,
+    all_partitions,
+    canonical_order,
+    orbit_dim,
+    redundant_params,
+)
 from rhochart.numerics import adjoint, max_abs_diff
 from rhochart.words import Word, evaluate, make_opor_chart
 
@@ -325,6 +333,25 @@ def test_jacobian_rank_with_eigen_directions():
         pattern = pat(*mults)
         chart = random_density_chart(pattern, rng, interior=True)
         assert jacobian_rank(chart, include_eigen=True) == orbit_dim(pattern) + pattern.num_classes - 1
+
+
+def _rank(jac):
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > SVD_THRESHOLD * sv[0]))
+
+
+@pytest.mark.parametrize("include_eigen", [False, True])
+def test_exact_jacobian_matches_finite_differences(include_eigen):
+    rng = np.random.default_rng(13)
+    for n in range(2, 5):
+        for mults in all_partitions(n):
+            chart = random_density_chart(pat(*mults), rng, interior=True)
+            exact = _jacobian(chart, include_eigen)
+            reference = fd_jacobian(chart, include_eigen)
+            assert exact.shape == reference.shape
+            scale = np.max(np.abs(reference), initial=0.0)
+            assert np.max(np.abs(exact - reference), initial=0.0) <= 1e-6 * scale, mults
+            assert _rank(reference) == jacobian_rank(chart, include_eigen), mults
 
 
 def test_jacobian_rank_rejects_boundary_chart():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhochart as rc
-from rhochart.cli import main
+from rhochart.cli import MAX_DIM, main
 
 
 def run(capsys, argv):
@@ -221,6 +221,8 @@ def test_bad_tol_exit_2(capsys, tmp_path, tol):
         (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"phase": [1]}]}),
         (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": 10**400}]}),
         (["verify"], {"dim": 1, "entries": [[10**400, 0]]}),
+        (["rewrite", "--to", "opor"], {"n": 2.5, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
+        (["rewrite", "--to", "km"], {"n": True, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
     ],
 )
 def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):
@@ -229,6 +231,21 @@ def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):
     code, out, err = run(capsys, argv + ["--in", str(path)])
     assert_one_line_usage_error(code, err)
     assert out == ""
+
+
+def test_rewrite_rejects_dimension_above_cap(capsys, tmp_path):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({"n": MAX_DIM + 1, "atoms": []}))
+    code, out, err = run(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
+    assert_one_line_usage_error(code, err)
+    assert str(MAX_DIM) in err and out == ""
+
+
+@pytest.mark.parametrize("pattern", [",".join(["1"] * (MAX_DIM + 1)), str(10**9)])
+def test_build_rejects_pattern_above_cap(capsys, pattern):
+    code, out, err = run(capsys, ["build", "--pattern", pattern, "--random", "--seed", "1"])
+    assert_one_line_usage_error(code, err)
+    assert str(MAX_DIM) in err and out == ""
 
 
 def test_missing_required_option_exit_2_without_usage_line(capsys, tmp_path):

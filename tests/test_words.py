@@ -486,3 +486,9 @@ def test_atom_validation():
         PhaseAtom({0: 0.1})
     with pytest.raises(ValueError):
         Word(n=2, atoms=(RotationAtom(1, 3, 0.1),))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", 0])
+def test_word_dimension_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        Word(n=n, atoms=())
