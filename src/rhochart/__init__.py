@@ -38,7 +38,6 @@ from .numerics import (
     matrix_from_json,
     matrix_to_json,
     max_abs_diff,
-    multiply,
 )
 from .words import (
     PhaseAtom,

@@ -290,6 +290,12 @@ def validate_density(m: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Densit
 # seeded sampling helpers (tests and CLI)
 
 
+def _draw_block(rng: np.random.Generator, margin: float = 0.0) -> tuple[float, float]:
+    """(delta, theta) of one block, uniform over its range less ``margin`` at each end."""
+    delta = float(rng.uniform(margin, TWO_PI - margin))  # first: seeded charts depend on the order
+    return delta, float(rng.uniform(margin, HALF_PI - margin))
+
+
 def random_density_chart(
     pattern: DegeneracyPattern,
     rng: np.random.Generator,
@@ -301,14 +307,7 @@ def random_density_chart(
     and the eigen angles are redrawn until all class masses are separated.
     """
     margin = 1e-2 if interior else 0.0
-    blocks = tuple(
-        BlockParam(
-            block=lab,
-            delta=float(rng.uniform(margin, TWO_PI - margin)),
-            theta=float(rng.uniform(margin, HALF_PI - margin)),
-        )
-        for lab in kept_blocks(pattern)
-    )
+    blocks = tuple(BlockParam(lab, *_draw_block(rng, margin)) for lab in kept_blocks(pattern))
     k = pattern.num_classes
     while True:
         eigen = EigenChart(
@@ -321,24 +320,13 @@ def random_density_chart(
 
 
 def random_commutant_spec(pattern: DegeneracyPattern, rng: np.random.Generator) -> CommutantSpec:
-    blocks = tuple(
-        BlockParam(
-            block=lab,
-            delta=float(rng.uniform(0.0, TWO_PI)),
-            theta=float(rng.uniform(0.0, HALF_PI)),
-        )
-        for lab in dropped_blocks(pattern)
-    )
+    blocks = tuple(BlockParam(lab, *_draw_block(rng)) for lab in dropped_blocks(pattern))
     phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=pattern.n))
     return CommutantSpec(pattern=pattern, block_params=blocks, phases=phases)
 
 
 def random_full_params(pattern: DegeneracyPattern, rng: np.random.Generator) -> list[float]:
     """Random n^2 parameter vector for the complete chart word of ``pattern``."""
-    n = pattern.n
-    params = []
-    for _ in canonical_order(pattern):
-        params.append(float(rng.uniform(0.0, TWO_PI)))
-        params.append(float(rng.uniform(0.0, HALF_PI)))
-    params.extend(float(p) for p in rng.uniform(0.0, TWO_PI, size=n))
+    params = [x for _ in canonical_order(pattern) for x in _draw_block(rng)]
+    params.extend(float(p) for p in rng.uniform(0.0, TWO_PI, size=pattern.n))
     return params

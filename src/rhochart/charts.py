@@ -33,14 +33,6 @@ class EigenChart:
             if not (0.0 <= a <= HALF_PI) or not math.isfinite(a):
                 raise ValueError(f"angle {a} outside [0, pi/2]")
 
-    def to_json(self) -> dict:
-        return {"pattern": list(self.pattern.multiplicities), "angles": list(self.angles)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EigenChart":
-        pattern = DegeneracyPattern.from_multiplicities(obj["pattern"])
-        return cls(pattern=pattern, angles=tuple(obj["angles"]))
-
 
 def class_masses(c: EigenChart) -> list[float]:
     """Squared polar components, one per class; non-negative, summing to 1.

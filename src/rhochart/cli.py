@@ -1,7 +1,8 @@
 """JSON command-line interface.
 
-Subcommands: count, build, rewrite, decompose, verify, commutant.  Input is
-read from --in (default stdin), output written to --out (default stdout).
+Subcommands: count, build, rewrite, decompose, verify, commutant; each
+accepts only the options its command reads.  Input is read from --in
+(default stdin), output written to --out (default stdout).
 Randomized actions require an explicit --seed and are fully deterministic
 given one.  Exit codes: 0 ok, 2 usage error, 3 validation failure,
 4 rewrite target unreachable.
@@ -161,58 +162,76 @@ def cmd_commutant(args):
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a positive, finite float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return tol
+
+
+#: every option, in help order; a subcommand registers only the ones its command reads
+_OPTIONS = {
+    "--n": dict(type=int, default=None, help="matrix dimension (cross-check)"),
+    "--pattern": dict(help="multiplicity list, e.g. 2,1,1"),
+    "--seed": dict(type=int, default=None, help="seed for randomized actions"),
+    "--tol": dict(type=_tolerance, default=numerics.DEFAULT_TOL, help="positive tolerance"),
+    "--to": dict(choices=["opor", "km"], required=True),
+    "--in": dict(dest="infile", default=None, help="input JSON file (default stdin)"),
+    "--out": dict(dest="outfile", default=None, help="output file (default stdout)"),
+    "--random": dict(action="store_true", help="sample randomly (needs --seed)"),
+}
+
+_SUBCOMMANDS = (
+    (
+        "count",
+        cmd_count,
+        "parameter counts for a degeneracy pattern",
+        ("--n", "--pattern", "--out"),
+    ),
+    (
+        "build",
+        cmd_build,
+        "build a density matrix from a chart",
+        ("--n", "--pattern", "--seed", "--tol", "--in", "--out", "--random"),
+    ),
+    ("rewrite", cmd_rewrite, "normalize a word to a target form", ("--to", "--in", "--out")),
+    (
+        "decompose",
+        cmd_decompose,
+        "factor a unitary matrix into a chart word",
+        ("--tol", "--in", "--out"),
+    ),
+    ("verify", cmd_verify, "check the density-matrix conditions", ("--tol", "--in", "--out")),
+    (
+        "commutant",
+        cmd_commutant,
+        "sample a commutant of a pattern",
+        ("--n", "--pattern", "--seed", "--out", "--random"),
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rhochart",
         description="density-matrix charts: counting, building, rewriting, decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_pattern=False, needs_to=False):
-        p.add_argument("--n", type=int, default=None, help="matrix dimension (cross-check)")
-        if needs_pattern:
-            p.add_argument("--pattern", help="multiplicity list, e.g. 2,1,1")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized actions")
-        p.add_argument("--tol", type=float, default=numerics.DEFAULT_TOL)
-        if needs_to:
-            p.add_argument("--to", choices=["opor", "km"], required=True)
-        p.add_argument("--in", dest="infile", default=None, help="input JSON file (default stdin)")
-        p.add_argument("--out", dest="outfile", default=None, help="output file (default stdout)")
-
-    p_count = sub.add_parser("count", help="parameter counts for a degeneracy pattern")
-    common(p_count, needs_pattern=True)
-    p_count.set_defaults(func=cmd_count)
-
-    p_build = sub.add_parser("build", help="build a density matrix from a chart")
-    common(p_build, needs_pattern=True)
-    p_build.add_argument("--random", action="store_true", help="sample a chart (needs --seed)")
-    p_build.set_defaults(func=cmd_build)
-
-    p_rw = sub.add_parser("rewrite", help="normalize a word to a target form")
-    common(p_rw, needs_to=True)
-    p_rw.set_defaults(func=cmd_rewrite)
-
-    p_dec = sub.add_parser("decompose", help="factor a unitary matrix into a chart word")
-    common(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_ver = sub.add_parser("verify", help="check the density-matrix conditions")
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_com = sub.add_parser("commutant", help="sample a commutant of a pattern")
-    common(p_com, needs_pattern=True)
-    p_com.add_argument("--random", action="store_true")
-    p_com.set_defaults(func=cmd_commutant)
-
+    for name, func, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except _ValidationFailure as exc:
         _emit(args, exc.payload)

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-#: absolute gap below which two numeric eigenvalues are treated as equal
-GAP_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DegeneracyPattern:
@@ -54,32 +51,6 @@ class DegeneracyPattern:
     def singletons(cls, n: int) -> "DegeneracyPattern":
         return cls.from_multiplicities([1] * n)
 
-    @classmethod
-    def from_spectrum(cls, values: Sequence[float], gap_tol: float = GAP_TOL) -> "DegeneracyPattern":
-        """Group consecutive numeric eigenvalues whose gap is below ``gap_tol``.
-
-        The values are expected in the library's ordering convention
-        (non-increasing); only adjacent entries are compared.
-        """
-        if not len(values):
-            raise ValueError("empty spectrum")
-        mults = [1]
-        for prev, cur in zip(values, values[1:]):
-            if abs(cur - prev) < gap_tol:
-                mults[-1] += 1
-            else:
-                mults.append(1)
-        return cls.from_multiplicities(mults)
-
-    @classmethod
-    def parse(cls, text: str) -> "DegeneracyPattern":
-        """Parse a multiplicity string such as ``"2,1,1"``."""
-        try:
-            mults = [int(part) for part in text.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"malformed pattern string: {text!r}") from exc
-        return cls.from_multiplicities(mults)
-
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.classes)
@@ -87,15 +58,6 @@ class DegeneracyPattern:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def is_contiguous(self) -> bool:
-        expected = 1
-        for cls in self.classes:
-            for idx in cls:
-                if idx != expected:
-                    return False
-                expected += 1
-        return True
 
     def class_of(self, index: int) -> int:
         for pos, cls in enumerate(self.classes):
@@ -105,18 +67,6 @@ class DegeneracyPattern:
 
     def same_class(self, i: int, j: int) -> bool:
         return self.class_of(i) == self.class_of(j)
-
-    def to_json(self) -> dict:
-        if not self.is_contiguous():
-            raise ValueError("only contiguous patterns have a multiplicity encoding")
-        return {"n": self.n, "multiplicities": list(self.multiplicities)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DegeneracyPattern":
-        pattern = cls.from_multiplicities(obj["multiplicities"])
-        if "n" in obj and obj["n"] != pattern.n:
-            raise ValueError("n inconsistent with multiplicities")
-        return pattern
 
 
 def degrees_of_degeneracy(p: DegeneracyPattern) -> int:

@@ -28,15 +28,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` with a dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(np.asarray(a, dtype=np.complex128)).T

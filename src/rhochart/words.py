@@ -256,29 +256,23 @@ def rewrite_merge_phases(w: Word) -> Word:
     return Word(n=w.n, atoms=tuple(atoms))
 
 
-def _pass_residual(phase: PhaseAtom, rot: RotationAtom, residual_index: int):
+def _pass_residual(phase: PhaseAtom, rot: RotationAtom) -> tuple[PhaseAtom, PhaseAtom]:
     """Split ``phase`` against ``rot``: residual single + diagonal that passes.
 
-    Returns (residual_delta, passed_deltas).  On the rotation's support the
-    passing diagonal carries the phase of the non-residual index on both
-    rows; off-support entries pass unchanged.
+    The residual sits on the pair's smaller index.  On the rotation's support
+    the passing diagonal carries the larger index's phase on both rows;
+    off-support entries pass unchanged.  Angles are taken mod 2*pi and zero
+    angles are dropped, so either atom may come back empty.
     """
     i, j = rot.i, rot.j
-    di = phase.deltas.get(i, 0.0)
     dj = phase.deltas.get(j, 0.0)
+    residual = {i: phase.deltas.get(i, 0.0) - dj}
     passed = {k: v for k, v in phase.deltas.items() if k not in (i, j)}
-    if residual_index == i:
-        residual = di - dj
-        common = dj
-    elif residual_index == j:
-        residual = dj - di
-        common = di
-    else:
-        raise ValueError("residual index must lie on the rotation's support")
-    if common != 0.0:
-        passed[i] = common
-        passed[j] = common
-    return residual, passed
+    passed[i] = passed[j] = dj
+    return tuple(
+        PhaseAtom({k: v % TWO_PI for k, v in d.items() if v % TWO_PI != 0.0})
+        for d in (residual, passed)
+    )
 
 
 def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
@@ -287,39 +281,22 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
     ``direction="right"`` requires a rotation at ``at + 1``: the common phase
     of the rotation's two rows emerges on its right and the difference stays
     behind on the pair's smaller index.  ``direction="left"`` is the mirror
-    move for a rotation at ``at - 1``.
+    move for a rotation at ``at - 1``, from R diag(a, b) = diag(b, b) R
+    diag(a/b, 1).  A phase atom left with no angle is omitted.
     """
     atoms = list(w.atoms)
     if not 0 <= at < len(atoms) or not isinstance(atoms[at], PhaseAtom):
         raise ValueError(f"no phase atom at position {at}")
-    phase = atoms[at]
-    if direction == "right":
-        if at + 1 >= len(atoms) or not isinstance(atoms[at + 1], RotationAtom):
-            raise ValueError(f"no rotation to the right of position {at}")
-        rot = atoms[at + 1]
-        residual, passed = _pass_residual(phase, rot, rot.i)
-        out = []
-        if residual % TWO_PI != 0.0:
-            out.append(PhaseAtom({rot.i: residual % TWO_PI}))
-        out.append(rot)
-        if passed:
-            out.append(PhaseAtom({k: v % TWO_PI for k, v in passed.items() if v % TWO_PI != 0.0}))
-        atoms[at : at + 2] = out
-    elif direction == "left":
-        if at - 1 < 0 or not isinstance(atoms[at - 1], RotationAtom):
-            raise ValueError(f"no rotation to the left of position {at}")
-        rot = atoms[at - 1]
-        # mirror identity: R diag(a, b) = diag(b, b) R diag(a/b, 1)
-        residual, passed = _pass_residual(phase, rot, rot.i)
-        out = []
-        if passed:
-            out.append(PhaseAtom({k: v % TWO_PI for k, v in passed.items() if v % TWO_PI != 0.0}))
-        out.append(rot)
-        if residual % TWO_PI != 0.0:
-            out.append(PhaseAtom({rot.i: residual % TWO_PI}))
-        atoms[at - 1 : at + 1] = out
-    else:
+    if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    r = at + 1 if direction == "right" else at - 1
+    if not 0 <= r < len(atoms) or not isinstance(atoms[r], RotationAtom):
+        raise ValueError(f"no rotation to the {direction} of position {at}")
+    residual, passed = _pass_residual(atoms[at], atoms[r])
+    out = [a for a in (residual, atoms[r], passed) if not isinstance(a, PhaseAtom) or a.deltas]
+    if direction == "left":
+        out.reverse()
+    atoms[min(at, r) : max(at, r) + 1] = out
     return Word(n=w.n, atoms=tuple(atoms))
 
 

@@ -125,8 +125,3 @@ def test_jacobian_rank_of_eigenvalue_map():
                 cols.append((np.asarray(fp) - np.asarray(fm)) / (2 * step))
             sv = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
             assert int(np.sum(sv > 1e-7 * sv[0])) == k - 1
-
-
-def test_json_round_trip():
-    chart = EigenChart(pattern=pat(2, 1), angles=(0.7853981633974483,))
-    assert EigenChart.from_json(chart.to_json()) == chart

@@ -207,7 +207,55 @@ def test_missing_input_file_exit_2(capsys, tmp_path):
 def test_bad_tol_exit_2(capsys, tmp_path, tol):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(rc.matrix_to_json(np.eye(3) / 3)))
-    code, out, err = run(capsys, ["verify", "--tol", tol, "--in", str(good)])
+    unitary = tmp_path / "unitary.json"
+    unitary.write_text(json.dumps(rc.matrix_to_json(np.eye(3))))
+    for argv in (
+        ["verify", "--in", str(good)],
+        ["decompose", "--in", str(unitary)],
+        ["build", "--pattern", "2,1", "--random", "--seed", "1"],
+    ):
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("count", "--seed"),
+        ("count", "--tol"),
+        ("count", "--in"),
+        ("rewrite", "--n"),
+        ("rewrite", "--seed"),
+        ("rewrite", "--tol"),
+        ("decompose", "--n"),
+        ("decompose", "--seed"),
+        ("verify", "--n"),
+        ("verify", "--seed"),
+        ("commutant", "--tol"),
+        ("commutant", "--in"),
+    ],
+)
+def test_option_the_command_does_not_read_exit_2(capsys, tmp_path, command, option):
+    """Each subcommand accepts only the options its command reads."""
+    inputs = {
+        "rewrite": {"n": 2, "atoms": [{"rot": [1, 2], "theta": 0.3}]},
+        "decompose": rc.matrix_to_json(np.eye(2)),
+        "verify": rc.matrix_to_json(np.eye(2) / 2),
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(inputs.get(command, inputs["verify"])))
+    valid = {
+        "count": ["--pattern", "2,1"],
+        "rewrite": ["--to", "opor", "--in", str(path)],
+        "decompose": ["--in", str(path)],
+        "verify": ["--in", str(path)],
+        "commutant": ["--pattern", "2,1", "--random", "--seed", "1"],
+    }[command]
+    # the same request without the option exits 0
+    assert run(capsys, [command, *valid])[0] == 0
+    value = str(path) if option == "--in" else "3"
+    code, out, err = run(capsys, [command, *valid, option, value])
     assert_one_line_usage_error(code, err)
     assert out == ""
 

@@ -84,29 +84,6 @@ def test_pattern_accepts_non_contiguous_classes():
     p = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
     assert p.multiplicities == (2, 1)
     assert p.same_class(1, 3)
-    assert not p.is_contiguous()
-    with pytest.raises(ValueError):
-        p.to_json()
-
-
-def test_parse_and_json():
-    p = DegeneracyPattern.parse("2,1,1")
-    assert p.multiplicities == (2, 1, 1)
-    assert p.to_json() == {"n": 4, "multiplicities": [2, 1, 1]}
-    assert DegeneracyPattern.from_json({"n": 4, "multiplicities": [2, 1, 1]}) == p
-    with pytest.raises(ValueError):
-        DegeneracyPattern.parse("2,x")
-    with pytest.raises(ValueError):
-        DegeneracyPattern.from_json({"n": 5, "multiplicities": [2, 1, 1]})
-
-
-def test_from_spectrum_gap_threshold():
-    p = DegeneracyPattern.from_spectrum([0.5, 0.5 - 1e-12, 0.3])
-    assert p.multiplicities == (2, 1)
-    p = DegeneracyPattern.from_spectrum([0.5, 0.4, 0.1])
-    assert p.multiplicities == (1, 1, 1)
-    p = DegeneracyPattern.from_spectrum([0.3, 0.25, 0.25, 0.2], gap_tol=0.06)
-    assert p.multiplicities == (4,)
 
 
 # canonical block order

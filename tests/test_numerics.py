@@ -5,43 +5,6 @@ from rhochart import numerics
 from rhochart.words import make_opor_chart, evaluate
 
 
-def naive_product(a, b):
-    """Triple-loop reference product, independent of numpy's matmul."""
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_multiply_identity():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert numerics.max_abs_diff(numerics.multiply(numerics.identity(3), m), m) == 0.0
-
-
-def test_multiply_inverse_phases():
-    a = np.diag([1j, 1.0]).astype(complex)
-    b = np.diag([-1j, 1.0]).astype(complex)
-    assert numerics.max_abs_diff(numerics.multiply(a, b), numerics.identity(2)) == 0.0
-
-
-def test_multiply_against_naive_oracle():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert numerics.max_abs_diff(numerics.multiply(a, b), naive_product(a, b)) < 1e-14
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        numerics.multiply(numerics.identity(2), numerics.identity(3))
-
-
 def test_adjoint_identity_and_phases():
     assert numerics.max_abs_diff(numerics.adjoint(numerics.identity(4)), numerics.identity(4)) == 0.0
     d = np.diag(np.exp(1j * np.array([0.3, 1.1, 5.0])))
@@ -59,8 +22,8 @@ def test_adjoint_antihomomorphism():
     for _ in range(50):
         a = numerics.haar_unitary(4, rng)
         b = numerics.haar_unitary(4, rng)
-        lhs = numerics.adjoint(numerics.multiply(a, b))
-        rhs = numerics.multiply(numerics.adjoint(b), numerics.adjoint(a))
+        lhs = numerics.adjoint(a @ b)
+        rhs = numerics.adjoint(b) @ numerics.adjoint(a)
         assert numerics.max_abs_diff(lhs, rhs) <= 1e-14
 
 

@@ -223,6 +223,26 @@ def test_pass_through_left_direction():
     assert max_abs_diff(evaluate(w), evaluate(out)) < 1e-14
 
 
+ROT = RotationAtom(1, 2, 0.4)
+
+
+@pytest.mark.parametrize(
+    "atoms, at, direction, expected",
+    [
+        ((PhaseAtom({1: 0.3, 3: 0.0}), ROT), 0, "right", (PhaseAtom({1: 0.3}), ROT)),
+        ((PhaseAtom({3: TWO_PI}), ROT), 0, "right", (ROT,)),
+        ((ROT, PhaseAtom({3: 0.0, 1: 0.5})), 1, "left", (ROT, PhaseAtom({1: 0.5}))),
+    ],
+    ids=["right-off-support-zero", "right-full-turn", "left-off-support-zero"],
+)
+def test_pass_through_drops_phases_that_wrap_to_zero(atoms, at, direction, expected):
+    w = Word(n=3, atoms=atoms)
+    out = rewrite_pass_through(w, at, direction)
+    assert out.atoms == expected
+    assert all(atom.deltas for atom in out.atoms if isinstance(atom, PhaseAtom))
+    assert max_abs_diff(evaluate(w), evaluate(out)) <= 1e-15
+
+
 def test_four_phase_sandwich_reduces_to_three():
     rng = np.random.default_rng(5)
     di, dj, ei, ej = rng.uniform(0.1, TWO_PI - 0.1, 4)
