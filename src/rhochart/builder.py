@@ -12,6 +12,7 @@ commutators [X, rho] read off one sweep over the chart word.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,30 +31,26 @@ INTERIOR_MARGIN = 1e-6
 MASS_GAP = 1e-6
 
 
-@dataclass(frozen=True)
-class BlockParam:
-    """(phase, angle) of one chart block, tagged with its oriented pair label."""
+class BlockParam(namedtuple("BlockParam", "block delta theta")):
+    """(phase, angle) of one chart block, tagged with its oriented pair label;
+    as a tuple it is the word algebra's ``(label, delta, theta)`` block."""
 
-    block: tuple[int, int]
-    delta: float
-    theta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks ranges too
 
-    def __post_init__(self):
-        if not (0.0 <= self.delta < TWO_PI) or not (0.0 <= self.theta <= HALF_PI):
-            raise ValueError(
-                f"block {self.block}: delta must lie in [0, 2*pi), theta in [0, pi/2]"
-            )
+    def __new__(cls, block, delta, theta):
+        if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
+            raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
+        return super().__new__(cls, block, delta, theta)
 
 
 def kept_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
-    """Chart blocks that survive pruning: the pairs joining distinct classes."""
-    return tuple(
-        lab for lab in canonical_order(pattern) if not pattern.same_class(lab[0], lab[1])
-    )
+    """Chart blocks that survive pruning: the cross-class pairs leading ``canonical_order``."""
+    return canonical_order(pattern)[: orbit_dim(pattern) // 2]
 
 
 def dropped_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
-    return tuple(lab for lab in canonical_order(pattern) if pattern.same_class(lab[0], lab[1]))
+    return canonical_order(pattern)[orbit_dim(pattern) // 2 :]
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,12 @@ class DensityChart:
         got = tuple(bp.block for bp in self.unitary_params)
         if got != expected:
             raise ValueError(f"expected blocks {expected}, got {got}")
-        if 2 * len(self.unitary_params) != orbit_dim(self.pattern):
-            raise ValueError("unitary parameter count does not match the orbit dimension")
 
     def to_json(self) -> dict:
+        if DegeneracyPattern.from_multiplicities(self.pattern.multiplicities) != self.pattern:
+            raise ValueError(
+                f"classes {self.pattern.classes} are not contiguous; JSON keeps multiplicities"
+            )
         return {
             "pattern": list(self.pattern.multiplicities),
             "eigen_angles": list(self.eigen.angles),
@@ -120,17 +119,13 @@ class CommutantSpec:
         return 2 * len(self.block_params) + len(self.phases)
 
 
-def _blocks(params) -> list:
-    return [(bp.block, bp.delta, bp.theta) for bp in params]
-
-
 def kept_word(c: DensityChart) -> Word:
     """The pruned unitary word: in-class blocks and trailing diagonal removed."""
-    return opor_word(c.pattern.n, _blocks(c.unitary_params))
+    return opor_word(c.pattern.n, c.unitary_params)
 
 
 def commutant_word(s: CommutantSpec) -> Word:
-    return opor_word(s.pattern.n, _blocks(s.block_params), s.phases)
+    return opor_word(s.pattern.n, s.block_params, s.phases)
 
 
 def build_density(c: DensityChart) -> np.ndarray:
@@ -153,11 +148,9 @@ def split_full_params(full_params, pattern: DegeneracyPattern):
     (kept BlockParams, dropped BlockParams, trailing phases).
     """
     blocks, trailing = _split_chart_params(pattern, full_params)
-    kept, dropped = [], []
-    for lab, delta, theta in blocks:
-        bp = BlockParam(block=lab, delta=delta, theta=theta)
-        (dropped if pattern.same_class(*lab) else kept).append(bp)
-    return tuple(kept), tuple(dropped), tuple(trailing)
+    params = tuple(BlockParam(*block) for block in blocks)
+    cut = orbit_dim(pattern) // 2
+    return params[:cut], params[cut:], tuple(trailing)
 
 
 def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None) -> DensityChart:

@@ -41,11 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _ValidationFailure(Exception):
-    def __init__(self, payload):
-        self.payload = payload
-
-
 def _read_json(args) -> dict:
     if args.infile:
         with open(args.infile) as fh:
@@ -107,9 +102,12 @@ def cmd_count(args):
 def cmd_build(args):
     pattern = _pattern_from_args(args)
     if args.random:
-        rng = _rng_from_args(args)
-        chart = builder.random_density_chart(pattern, rng)
+        if args.infile:
+            raise _UsageError("--in cannot be combined with --random, which reads no chart")
+        chart = builder.random_density_chart(pattern, _rng_from_args(args))
     else:
+        if args.seed is not None:
+            raise _UsageError("--seed needs --random; a chart read from --in is not sampled")
         obj = _read_json(args)
         if "pattern" in obj and list(obj["pattern"]) != list(pattern.multiplicities):
             raise _UsageError("pattern in params file differs from --pattern")
@@ -121,10 +119,8 @@ def cmd_build(args):
         "matrix": numerics.matrix_to_json(rho),
         "validation": report.to_json(),
     }
-    if not report.passed:
-        raise _ValidationFailure(payload)
     _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_rewrite(args):
@@ -147,11 +143,8 @@ def cmd_decompose(args):
 def cmd_verify(args):
     matrix = numerics.matrix_from_json(_read_json(args))
     report = builder.validate_density(matrix, tol=args.tol)
-    payload = report.to_json()
-    if not report.passed:
-        raise _ValidationFailure(payload)
-    _emit(args, payload)
-    return EXIT_OK
+    _emit(args, report.to_json())
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_commutant(args):
@@ -233,9 +226,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _ValidationFailure as exc:
-        _emit(args, exc.payload)
-        return EXIT_VALIDATION
     except NotUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,8 +5,8 @@ canonical order, a single inverse block (a complex Givens rotation whose
 phase absorbs the argument of the targeted entry) is applied on the left to
 zero one upper off-diagonal entry.  Earlier zeros are preserved by the order,
 so the residue is diagonal and becomes the trailing phase matrix.  The
-recovered parameter vector is exactly the chart's, so this is the
-constructive inverse of ``make_opor_chart``.
+recovered blocks are exactly the chart's, so this is the constructive
+inverse of ``make_opor_chart``.
 
 The elimination is the column kernel of ``words.evaluate`` run on u^dagger:
 left-applying the inverse block R^T P* to t is right-applying P R to t^dagger.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import TWO_PI, Word, evaluate, make_opor_chart, phase_column, rotate_columns
+from .words import TWO_PI, Word, evaluate, opor_word, phase_column, rotate_columns
 
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14
@@ -52,7 +52,7 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
         raise NotUnitaryError(f"input is not unitary within {tol}")
     n = u.shape[0]
     v = numerics.adjoint(u)  # t = v^dagger is the matrix being reduced
-    params: list[float] = []
+    blocks = []
     for a, b in canonical_order(DegeneracyPattern.singletons(n)):
         i, j = min(a, b), max(a, b)
         tij = v[j - 1, i - 1].conjugate()
@@ -67,11 +67,11 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
                 delta = float(np.angle(tij) - np.angle(tjj)) % TWO_PI
             else:
                 delta = float(np.angle(tjj) - np.angle(tij)) % TWO_PI
-        params.extend([delta, theta])
+        blocks.append(((a, b), delta, theta))
         phase_column(v, a, delta)
         rotate_columns(v, i, j, theta)
-    params.extend(float(-np.angle(v[k, k])) % TWO_PI for k in range(n))
-    word = make_opor_chart(n, params)
+    trailing = [float(-np.angle(v[k, k])) % TWO_PI for k in range(n)]
+    word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))
     return DecompositionResult(word=word, residual=residual)
 

@@ -224,35 +224,27 @@ def make_phase_adjoint_chart(n: int, params) -> Word:
 
 def rewrite_merge_phases(w: Word) -> Word:
     """Merge adjacent diagonals and push support-disjoint diagonals rightward
-    past rotations.  Evaluation is unchanged; angles are summed mod 2*pi.
+    past rotations, in one left-to-right pass.  The last output atom, when a
+    phase, is the diagonal still moving right: the next phase merges into it
+    and a rotation whose support misses it goes in front of it.  Evaluation is
+    unchanged; merged angles are summed mod 2*pi.
     """
-    atoms = list(w.atoms)
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k + 1 < len(atoms):
-            a, b = atoms[k], atoms[k + 1]
-            if isinstance(a, PhaseAtom) and isinstance(b, PhaseAtom):
-                merged = dict(a.deltas)
-                for idx, val in b.deltas.items():
-                    merged[idx] = merged.get(idx, 0.0) + val
-                merged = {idx: val % TWO_PI for idx, val in merged.items() if val % TWO_PI != 0.0}
-                atoms[k : k + 2] = [PhaseAtom(merged)] if merged else []
-                changed = True
-                continue
-            if (
-                isinstance(a, PhaseAtom)
-                and isinstance(b, RotationAtom)
-                and not ({b.i, b.j} & set(a.deltas))
-            ):
-                atoms[k], atoms[k + 1] = b, a
-                changed = True
-                continue
-            k += 1
-        if atoms and isinstance(atoms[-1], PhaseAtom) and not atoms[-1].deltas:
-            atoms.pop()
-            changed = True
+    atoms: list[Atom] = []
+    for atom in w.atoms:
+        diag = atoms[-1] if atoms and isinstance(atoms[-1], PhaseAtom) else None
+        if diag is None:
+            atoms.append(atom)
+        elif isinstance(atom, RotationAtom):
+            disjoint = {atom.i, atom.j}.isdisjoint(diag.deltas)
+            atoms.insert(len(atoms) - 1 if disjoint else len(atoms), atom)
+        else:
+            merged = dict(diag.deltas)
+            for idx, val in atom.deltas.items():
+                merged[idx] = merged.get(idx, 0.0) + val
+            merged = {idx: val % TWO_PI for idx, val in merged.items() if val % TWO_PI != 0.0}
+            atoms[-1:] = [PhaseAtom(merged)] if merged else []
+    if atoms and isinstance(atoms[-1], PhaseAtom) and not atoms[-1].deltas:
+        atoms.pop()
     return Word(n=w.n, atoms=tuple(atoms))
 
 
@@ -527,8 +519,6 @@ def _is_km(w: Word) -> bool:
 
 
 def classify_form(w: Word) -> WordForm:
-    if w.atoms and all(isinstance(a, RotationAtom) for a in w.atoms):
-        return WordForm.KM  # bare rotations: km with empty outer diagonals
     if _is_opor(w):
         return WordForm.ONE_PHASE_ONE_ROTATION
     if _is_phase_adjoint(w):

@@ -79,6 +79,42 @@ def fd_jacobian(c, include_eigen=False):
     return np.stack(columns, axis=1) if columns else np.zeros((2 * c.pattern.n**2, 0))
 
 
+# restart-until-stable reference for the one-pass ``rewrite_merge_phases``
+
+
+def fixed_point_merge(w):
+    """Merge adjacent diagonals and swap support-disjoint diagonals rightward
+    past rotations, restarting the scan until no move applies."""
+    atoms = list(w.atoms)
+    changed = True
+    while changed:
+        changed = False
+        k = 0
+        while k + 1 < len(atoms):
+            a, b = atoms[k], atoms[k + 1]
+            if isinstance(a, PhaseAtom) and isinstance(b, PhaseAtom):
+                merged = dict(a.deltas)
+                for idx, val in b.deltas.items():
+                    merged[idx] = merged.get(idx, 0.0) + val
+                merged = {idx: val % TWO_PI for idx, val in merged.items() if val % TWO_PI != 0.0}
+                atoms[k : k + 2] = [PhaseAtom(merged)] if merged else []
+                changed = True
+                continue
+            if (
+                isinstance(a, PhaseAtom)
+                and isinstance(b, RotationAtom)
+                and not ({b.i, b.j} & set(a.deltas))
+            ):
+                atoms[k], atoms[k + 1] = b, a
+                changed = True
+                continue
+            k += 1
+        if atoms and isinstance(atoms[-1], PhaseAtom) and not atoms[-1].deltas:
+            atoms.pop()
+            changed = True
+    return Word(n=w.n, atoms=tuple(atoms))
+
+
 def all_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 

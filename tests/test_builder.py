@@ -75,6 +75,34 @@ def test_kept_blocks_match_canonical_order():
     assert dropped_blocks(pat(1, 1, 1)) == ()
 
 
+def test_kept_blocks_are_the_cross_class_pairs():
+    rng = np.random.default_rng(17)
+    patterns = [pat(*mults) for n in range(1, 7) for mults in all_partitions(n)]
+    for _ in range(200):  # non-contiguous classes: a shuffled index set cut into runs
+        n = int(rng.integers(2, 8))
+        order = [int(k) for k in rng.permutation(np.arange(1, n + 1))]
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+        classes = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+        patterns.append(DegeneracyPattern(n=n, classes=classes))
+    for pattern in patterns:
+        order = canonical_order(pattern)
+        assert kept_blocks(pattern) == tuple(lab for lab in order if not pattern.same_class(*lab))
+        assert dropped_blocks(pattern) == tuple(lab for lab in order if pattern.same_class(*lab))
+
+
+def test_block_param_is_a_block_tuple():
+    bp = BlockParam(block=(3, 1), delta=0.1, theta=0.2)
+    label, delta, theta = bp
+    assert (label, delta, theta) == (bp.block, bp.delta, bp.theta) == ((3, 1), 0.1, 0.2)
+    with pytest.raises(ValueError, match=r"^block \(3, 1\): delta must lie in \[0, 2\*pi\)"):
+        BlockParam((3, 1), TWO_PI, 0.2)
+    with pytest.raises(ValueError, match="theta in"):
+        BlockParam(block=(3, 1), delta=0.1, theta=-0.1)
+    assert bp._replace(theta=0.3) == ((3, 1), 0.1, 0.3)
+    with pytest.raises(ValueError, match="theta in"):
+        bp._replace(theta=2.0)
+
+
 def test_split_full_params_n3_example():
     pattern = pat(2, 1)
     full = [k / 10 for k in range(9)]
@@ -180,6 +208,14 @@ def test_density_chart_json_round_trip():
     rng = np.random.default_rng(3)
     chart = random_density_chart(pat(2, 1, 1), rng)
     assert DensityChart.from_json(chart.to_json()) == chart
+
+
+def test_density_chart_json_rejects_non_contiguous_classes():
+    # the JSON stores multiplicities, which would read back as classes ((1, 2), (3,))
+    pattern = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
+    chart = random_density_chart(pattern, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="not contiguous"):
+        chart.to_json()
 
 
 # commutants

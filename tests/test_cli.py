@@ -304,6 +304,49 @@ def test_missing_required_option_exit_2_without_usage_line(capsys, tmp_path):
     assert "--to" in err
 
 
+def test_build_validation_failure_exit_3_prints_full_payload(capsys):
+    argv = ["build", "--pattern", "2,1", "--random", "--seed", "1"]
+    passing = run_json(capsys, argv)
+    code, out, err = run(capsys, argv + ["--tol", "1e-300"])
+    assert code == 3 and err == ""
+    obj = json.loads(out)
+    assert obj["validation"]["passed"] is False and obj["validation"]["tol"] == 1e-300
+    assert obj["chart"] == passing["chart"] and obj["matrix"] == passing["matrix"]
+
+
+def write_chart_21(tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(
+        json.dumps(
+            {
+                "pattern": [2, 1],
+                "eigen_angles": [0.7],
+                "unitary_params": [
+                    {"block": [3, 1], "delta": 0.5, "theta": 0.2},
+                    {"block": [2, 3], "delta": 1.5, "theta": 0.9},
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_build_random_with_input_file_exit_2(capsys, tmp_path):
+    argv = ["build", "--pattern", "2,1", "--random", "--seed", "1"]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--in", write_chart_21(tmp_path)])
+    assert_one_line_usage_error(code, err)
+    assert "--in" in err and out == ""
+
+
+def test_build_from_input_file_with_seed_exit_2(capsys, tmp_path):
+    argv = ["build", "--pattern", "2,1", "--in", write_chart_21(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--seed", "5"])
+    assert_one_line_usage_error(code, err)
+    assert "--seed" in err and out == ""
+
+
 # fuzzing: valid inputs with one subtree replaced or one key dropped, plus raw text
 
 FUZZ_CASES = {

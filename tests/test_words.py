@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_phase, dense_product, dense_rotation, random_interleaved_word, random_word
+from conftest import (
+    dense_phase,
+    dense_product,
+    dense_rotation,
+    fixed_point_merge,
+    random_interleaved_word,
+    random_word,
+)
 from rhochart.numerics import is_unitary, max_abs_diff
 from rhochart.words import (
     FormError,
@@ -192,6 +199,43 @@ def test_merge_commutes_disjoint_phase_past_rotation():
 def test_merge_cancels_opposite_phases():
     w = Word(n=2, atoms=(PhaseAtom({1: 1.0}), PhaseAtom({1: TWO_PI - 1.0})))
     assert rewrite_merge_phases(w).atoms == ()
+
+
+merge_phases = st.one_of(
+    st.sampled_from((0.0, TWO_PI, -TWO_PI, math.pi, 1e-300)),
+    st.floats(min_value=-2 * TWO_PI, max_value=2 * TWO_PI),
+)
+
+
+@st.composite
+def merge_words(draw):
+    """Words at n = 2..6 of up to 14 atoms: any pairs, repeats allowed, and
+    phases (some empty) whose sums hit 0 and 2*pi exactly."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        if draw(st.booleans()):
+            i, j = draw(st.sampled_from(pairs))
+            atoms.append(RotationAtom(i, j, draw(merge_phases)))
+        else:
+            support = draw(st.sets(st.integers(min_value=1, max_value=n)))
+            atoms.append(PhaseAtom({k: draw(merge_phases) for k in support}))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+def atom_keys(w):
+    """Atoms with every phase entry in stored order, zero entries included."""
+    return [
+        (a.i, a.j, a.theta) if isinstance(a, RotationAtom) else tuple(a.deltas.items())
+        for a in w.atoms
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_words())
+def test_merge_one_pass_matches_fixed_point(w):
+    assert atom_keys(rewrite_merge_phases(w)) == atom_keys(fixed_point_merge(w))
 
 
 def test_pass_through_common_phase_commutes():
@@ -478,6 +522,9 @@ def test_classify_forms():
     km = normalize(random_interleaved_word(4, rng), WordForm.KM)
     assert classify_form(km) is WordForm.KM
     assert classify_form(random_interleaved_word(3, rng)) is WordForm.GENERAL
+    bare = Word(n=3, atoms=(RotationAtom(1, 2, 0.4), RotationAtom(2, 3, 0.5)))
+    assert classify_form(bare) is WordForm.KM
+    assert classify_form(Word(n=2, atoms=(RotationAtom(1, 2, 0.4),))) is WordForm.KM
 
 
 # serialization
