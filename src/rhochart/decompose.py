@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import TWO_PI, Word, evaluate, opor_word, phase_column, rotate_columns
+from .words import Word, _wrap, evaluate, opor_word, phase_column, rotate_columns
 
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14
@@ -64,13 +64,13 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
             if abs(tjj) < ELIM_EPS:
                 delta = 0.0
             elif a == i:
-                delta = float(np.angle(tij) - np.angle(tjj)) % TWO_PI
+                delta = _wrap(float(np.angle(tij) - np.angle(tjj)))
             else:
-                delta = float(np.angle(tjj) - np.angle(tij)) % TWO_PI
+                delta = _wrap(float(np.angle(tjj) - np.angle(tij)))
         blocks.append(((a, b), delta, theta))
         phase_column(v, a, delta)
         rotate_columns(v, i, j, theta)
-    trailing = [float(-np.angle(v[k, k])) % TWO_PI for k in range(n)]
+    trailing = [_wrap(float(-np.angle(v[k, k]))) for k in range(n)]
     word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))
     return DecompositionResult(word=word, residual=residual)

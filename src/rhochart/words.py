@@ -457,81 +457,52 @@ def range_reduce(w: Word) -> Word:
 # form recognition and phase counting
 
 
-def _is_single_phase_on(atom: Atom, rot: Atom) -> bool:
-    return (
-        isinstance(atom, PhaseAtom)
-        and isinstance(rot, RotationAtom)
-        and len(atom.deltas) == 1
-        and next(iter(atom.deltas)) in (rot.i, rot.j)
-    )
+def _single_on(phase: PhaseAtom, rot: RotationAtom) -> bool:
+    return len(phase.deltas) == 1 and next(iter(phase.deltas)) in (rot.i, rot.j)
 
 
-def _is_opor(w: Word) -> bool:
-    atoms = w.atoms
-    if len(atoms) % 2 != 1:
+def _conjugates(left: PhaseAtom, rot: RotationAtom, right: PhaseAtom) -> bool:
+    """``left rot right`` is P_a(x) R P_a(-x) on one of the rotation's indices."""
+    if not (_single_on(left, rot) and _single_on(right, rot)):
         return False
-    if not isinstance(atoms[-1], PhaseAtom):
-        return False
-    for k in range(0, len(atoms) - 1, 2):
-        if not _is_single_phase_on(atoms[k], atoms[k + 1]):
-            return False
-    return True
+    (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
+    return li == ri and _wrap(lv + rv) == 0.0
 
 
-def _is_phase_adjoint(w: Word) -> bool:
-    atoms = w.atoms
-    if len(atoms) % 3 != 1 or len(atoms) < 4:
-        return False
-    if not isinstance(atoms[-1], PhaseAtom):
-        return False
-    for k in range(0, len(atoms) - 1, 3):
-        left, rot, right = atoms[k], atoms[k + 1], atoms[k + 2]
-        if not (_is_single_phase_on(left, rot) and _is_single_phase_on(right, rot)):
-            return False
-        (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
-        if li != ri or _wrap(lv + rv) != 0.0:
-            return False
-    return True
+def _parse_form(w: Word) -> tuple[WordForm, int, int]:
+    """Read the form of ``w`` and its (internal, external) phase counts off one
+    split into rotations and the phase runs between them: ``gaps[k]`` is the
+    run before rotation k and ``gaps[-1]`` the run after the last rotation.
 
-
-def _inner_atoms(w: Word) -> tuple[Atom, ...]:
-    """The atoms of ``w`` without its leading and trailing diagonals."""
-    atoms = w.atoms
-    if atoms and isinstance(atoms[0], PhaseAtom):
-        atoms = atoms[1:]
-    if atoms and isinstance(atoms[-1], PhaseAtom):
-        atoms = atoms[:-1]
-    return atoms
-
-
-def _is_km(w: Word) -> bool:
-    saw_rotation = False
-    previous_was_phase = False
-    for atom in _inner_atoms(w):
+    opor runs all have length 1, each before a rotation a single phase on its
+    pair; phase-adjoint runs have lengths [1, 2, ..., 2], each rotation between
+    a single phase and its inverse; km's leading run holds at most the outer
+    diagonal and one inner phase, every later run at most one atom, and every
+    inner phase is single-index.  GENERAL counts are (0, 0).
+    """
+    rots: list[RotationAtom] = []
+    gaps: list[list[PhaseAtom]] = [[]]
+    for atom in w.atoms:
         if isinstance(atom, RotationAtom):
-            saw_rotation = True
-            previous_was_phase = False
+            rots.append(atom)
+            gaps.append([])
         else:
-            if previous_was_phase or len(atom.deltas) != 1:
-                return False
-            previous_was_phase = True
-    return saw_rotation and not previous_was_phase
+            gaps[-1].append(atom)
+    r, lengths = len(rots), [len(g) for g in gaps]
+    if lengths == [1] * (r + 1) and all(_single_on(g[0], rot) for g, rot in zip(gaps, rots)):
+        return WordForm.ONE_PHASE_ONE_ROTATION, max(r - 1, 0), (1 if r else 0) + w.n
+    if r and lengths == [1] + [2] * r and all(
+        _conjugates(gaps[k][-1], rot, gaps[k + 1][0]) for k, rot in enumerate(rots)
+    ):
+        return WordForm.PHASE_ADJOINT, r - 1, 1 + w.n
+    inner = gaps[0][1:] + [p for g in gaps[1:-1] for p in g]
+    if r and lengths[0] <= 2 and max(lengths[1:]) <= 1 and all(len(p.deltas) == 1 for p in inner):
+        return WordForm.KM, len(inner), 2 * w.n - 1
+    return WordForm.GENERAL, 0, 0
 
 
 def classify_form(w: Word) -> WordForm:
-    if _is_opor(w):
-        return WordForm.ONE_PHASE_ONE_ROTATION
-    if _is_phase_adjoint(w):
-        return WordForm.PHASE_ADJOINT
-    if _is_km(w):
-        return WordForm.KM
-    return WordForm.GENERAL
-
-
-def matches_form(w: Word, form: WordForm) -> bool:
-    if form is WordForm.GENERAL:
-        return True
-    return classify_form(w) is form
+    return _parse_form(w)[0]
 
 
 def count_phases(w: Word) -> tuple[int, int]:
@@ -540,18 +511,15 @@ def count_phases(w: Word) -> tuple[int, int]:
     Internal phases sit strictly between rotations and survive every
     supported rewrite; external ones live in the outermost diagonals.  For
     the km form the two outer diagonals share one global phase, hence
-    2n - 1 external parameters.
+    2n - 1 external parameters.  A word with no phase atom, the empty word
+    included, counts (0, 0) whatever its form.
     """
     if all(isinstance(a, RotationAtom) for a in w.atoms):
         return (0, 0)
-    form = classify_form(w)
-    rotations = len(w.rotation_pairs())
-    if form in (WordForm.ONE_PHASE_ONE_ROTATION, WordForm.PHASE_ADJOINT):
-        return (max(rotations - 1, 0), (1 if rotations else 0) + w.n)
-    if form is WordForm.KM:
-        internal = sum(1 for a in _inner_atoms(w) if isinstance(a, PhaseAtom))
-        return (internal, 2 * w.n - 1)
-    raise FormError("word is not in a recognized form")
+    form, internal, external = _parse_form(w)
+    if form is WordForm.GENERAL:
+        raise FormError("word is not in a recognized form")
+    return (internal, external)
 
 
 # ---------------------------------------------------------------------------

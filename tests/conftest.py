@@ -7,7 +7,7 @@ import numpy as np
 from rhochart.builder import BlockParam, DensityChart, build_density
 from rhochart.charts import EigenChart
 from rhochart.degeneracy import DegeneracyPattern
-from rhochart.words import PhaseAtom, RotationAtom, Word
+from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,6 +113,93 @@ def fixed_point_merge(w):
             atoms.pop()
             changed = True
     return Word(n=w.n, atoms=tuple(atoms))
+
+
+# atom-walking reference for the one-parse ``classify_form`` and ``count_phases``
+
+
+def _is_single_phase_on(atom, rot):
+    return (
+        isinstance(atom, PhaseAtom)
+        and isinstance(rot, RotationAtom)
+        and len(atom.deltas) == 1
+        and next(iter(atom.deltas)) in (rot.i, rot.j)
+    )
+
+
+def _is_opor(w):
+    atoms = w.atoms
+    if len(atoms) % 2 != 1:
+        return False
+    if not isinstance(atoms[-1], PhaseAtom):
+        return False
+    for k in range(0, len(atoms) - 1, 2):
+        if not _is_single_phase_on(atoms[k], atoms[k + 1]):
+            return False
+    return True
+
+
+def _is_phase_adjoint(w):
+    atoms = w.atoms
+    if len(atoms) % 3 != 1 or len(atoms) < 4:
+        return False
+    if not isinstance(atoms[-1], PhaseAtom):
+        return False
+    for k in range(0, len(atoms) - 1, 3):
+        left, rot, right = atoms[k], atoms[k + 1], atoms[k + 2]
+        if not (_is_single_phase_on(left, rot) and _is_single_phase_on(right, rot)):
+            return False
+        (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
+        if li != ri or _wrap(lv + rv) != 0.0:
+            return False
+    return True
+
+
+def _inner_atoms(w):
+    """The atoms of ``w`` without its leading and trailing diagonals."""
+    atoms = w.atoms
+    if atoms and isinstance(atoms[0], PhaseAtom):
+        atoms = atoms[1:]
+    if atoms and isinstance(atoms[-1], PhaseAtom):
+        atoms = atoms[:-1]
+    return atoms
+
+
+def _is_km(w):
+    saw_rotation = False
+    previous_was_phase = False
+    for atom in _inner_atoms(w):
+        if isinstance(atom, RotationAtom):
+            saw_rotation = True
+            previous_was_phase = False
+        else:
+            if previous_was_phase or len(atom.deltas) != 1:
+                return False
+            previous_was_phase = True
+    return saw_rotation and not previous_was_phase
+
+
+def reference_classify_form(w):
+    if _is_opor(w):
+        return WordForm.ONE_PHASE_ONE_ROTATION
+    if _is_phase_adjoint(w):
+        return WordForm.PHASE_ADJOINT
+    if _is_km(w):
+        return WordForm.KM
+    return WordForm.GENERAL
+
+
+def reference_count_phases(w):
+    if all(isinstance(a, RotationAtom) for a in w.atoms):
+        return (0, 0)
+    form = reference_classify_form(w)
+    rotations = len(w.rotation_pairs())
+    if form in (WordForm.ONE_PHASE_ONE_ROTATION, WordForm.PHASE_ADJOINT):
+        return (max(rotations - 1, 0), (1 if rotations else 0) + w.n)
+    if form is WordForm.KM:
+        internal = sum(1 for a in _inner_atoms(w) if isinstance(a, PhaseAtom))
+        return (internal, 2 * w.n - 1)
+    raise FormError("word is not in a recognized form")
 
 
 def all_pairs(n):

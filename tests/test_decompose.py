@@ -9,9 +9,9 @@ from rhochart.words import (
     PhaseAtom,
     RotationAtom,
     WordForm,
+    classify_form,
     evaluate,
     make_opor_chart,
-    matches_form,
 )
 
 TWO_PI = 2 * math.pi
@@ -56,7 +56,7 @@ def test_output_form_and_ranges():
     rng = np.random.default_rng(1)
     for n in (2, 3, 5):
         result = decompose(haar_unitary(n, rng))
-        assert matches_form(result.word, WordForm.ONE_PHASE_ONE_ROTATION)
+        assert classify_form(result.word) is WordForm.ONE_PHASE_ONE_ROTATION
         for atom in result.word.atoms:
             if isinstance(atom, RotationAtom):
                 assert 0.0 <= atom.theta <= math.pi / 2
@@ -66,6 +66,21 @@ def test_output_form_and_ranges():
         rotations = sum(isinstance(a, RotationAtom) for a in result.word.atoms)
         phases = sum(len(a.deltas) for a in result.word.atoms if isinstance(a, PhaseAtom))
         assert 2 * rotations + (phases - rotations) == n * n
+
+
+def test_phases_at_zero_stay_below_two_pi():
+    # a true phase of 0 may come back as a tiny negative angle, which % 2*pi rounds to 2*pi
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        for _ in range(50):
+            m = n * (n - 1) // 2
+            deltas = rng.uniform(0, TWO_PI, m + n) * (rng.random(m + n) < 0.5)
+            blocks = np.column_stack([deltas[:m], rng.uniform(0.1, 1.4, m)]).ravel()
+            result = decompose(evaluate(make_opor_chart(n, np.concatenate([blocks, deltas[m:]]))))
+            assert result.residual < 1e-10
+            for kind, value in chart_values(result.word):
+                if kind == "delta":
+                    assert 0.0 <= value < TWO_PI
 
 
 def test_double_round_trip_is_stable():

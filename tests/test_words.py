@@ -12,6 +12,8 @@ from conftest import (
     fixed_point_merge,
     random_interleaved_word,
     random_word,
+    reference_classify_form,
+    reference_count_phases,
 )
 from rhochart.numerics import is_unitary, max_abs_diff
 from rhochart.words import (
@@ -26,7 +28,6 @@ from rhochart.words import (
     evaluate,
     make_opor_chart,
     make_phase_adjoint_chart,
-    matches_form,
     normalize,
     range_reduce,
     rewrite_merge_phases,
@@ -335,7 +336,7 @@ def test_normalize_opor_from_phase_adjoint_reproduces_known_phase_map():
     e1, e2, e3 = rng.uniform(0, 1.0, 3)
     adj = make_phase_adjoint_chart(3, [d3, t31, d2, t23, d1, t12, e1, e2, e3])
     out = normalize(adj, OPOR)
-    assert matches_form(out, OPOR)
+    assert classify_form(out) is OPOR
     assert max_abs_diff(evaluate(adj), evaluate(out)) < 1e-13
     block_phases = [next(iter(a.deltas.values())) for a in out.atoms[:-1][::2]]
     expected = [d3 % TWO_PI, (d2 + d3) % TWO_PI, (d1 + d2 + d3) % TWO_PI]
@@ -505,6 +506,7 @@ def test_count_phases_opor_total():
 def test_count_phases_pure_rotation():
     w = Word(n=3, atoms=(RotationAtom(1, 2, 0.4), RotationAtom(2, 3, 0.5)))
     assert count_phases(w) == (0, 0)
+    assert count_phases(Word(n=3, atoms=())) == (0, 0)
 
 
 def test_count_phases_unrecognized():
@@ -525,6 +527,63 @@ def test_classify_forms():
     bare = Word(n=3, atoms=(RotationAtom(1, 2, 0.4), RotationAtom(2, 3, 0.5)))
     assert classify_form(bare) is WordForm.KM
     assert classify_form(Word(n=2, atoms=(RotationAtom(1, 2, 0.4),))) is WordForm.KM
+
+
+form_values = st.sampled_from((0.0, 0.5, -0.5, TWO_PI - 0.5, 1.25))
+
+
+@st.composite
+def form_words(draw):
+    """Words at n = 2..6 as rotations with runs of phase atoms between them:
+    single-index, multi-index, zero-valued and empty phases.  A layout gives
+    the sizes of the leading, inner and last runs, and the dressings a rotation
+    may take with phases on one of its own indices (P_a R, R P_a, P_a R P_a),
+    whose values often cancel."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    index = st.integers(min_value=1, max_value=n)
+    phase = st.one_of(
+        st.builds(lambda k, v: PhaseAtom({k: v}), index, form_values),
+        st.dictionaries(index, form_values, max_size=n).map(PhaseAtom),
+    )
+    free, wide, one, short, none = (
+        st.lists(phase, min_size=lo, max_size=hi)
+        for lo, hi in ((0, 3), (2, 3), (1, 1), (0, 1), (0, 0))
+    )
+    layouts = (
+        (free, free, free, ("", "l", "r", "lr")),
+        (one, one, one, ("",)),  # opor
+        (none, none, free, ("lr",)),  # phase-adjoint
+        (wide, short, short, ("",)),  # km, and a leading run one atom too long
+    )
+    lead, run, last, dressings = draw(st.sampled_from(layouts))
+    rotations = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    atoms = draw(lead)
+    for k, (i, j) in enumerate(rotations):
+        a, sides = draw(st.sampled_from((i, j))), draw(st.sampled_from(dressings))
+        atoms += [PhaseAtom({a: draw(form_values)})] if "l" in sides else []
+        atoms.append(RotationAtom(i, j, draw(form_values.map(abs))))
+        atoms += [PhaseAtom({a: draw(form_values)})] if "r" in sides else []
+        atoms.extend(draw(run if k + 1 < len(rotations) else last))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+def _counts_or_error(count, w):
+    try:
+        return count(w)
+    except FormError:
+        return FormError
+
+
+@settings(max_examples=500, deadline=None)
+@given(form_words())
+def test_form_parse_matches_atom_walking_reference(w):
+    words = [w]
+    if len(set(w.rotation_pairs())) == len(w.rotation_pairs()):
+        words += [normalize(w, form) for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM)]
+    for v in words:
+        assert classify_form(v) is reference_classify_form(v)
+        assert _counts_or_error(count_phases, v) == _counts_or_error(reference_count_phases, v)
 
 
 # serialization
