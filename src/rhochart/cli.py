@@ -148,6 +148,8 @@ def cmd_verify(args):
 
 
 def cmd_commutant(args):
+    if not args.random:
+        raise _UsageError("commutant only samples; it needs --random and --seed")
     pattern = _pattern_from_args(args)
     rng = _rng_from_args(args)
     spec = builder.random_commutant_spec(pattern, rng)

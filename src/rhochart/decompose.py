@@ -63,14 +63,13 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
             theta = math.atan2(abs(tij), abs(tjj))
             if abs(tjj) < ELIM_EPS:
                 delta = 0.0
-            elif a == i:
-                delta = _wrap(float(np.angle(tij) - np.angle(tjj)))
             else:
-                delta = _wrap(float(np.angle(tjj) - np.angle(tij)))
+                x, y = float(np.angle(tij)), float(np.angle(tjj))
+                delta = _wrap(x - y if a == i else y - x, abs(x) + abs(y))
         blocks.append(((a, b), delta, theta))
         phase_column(v, a, delta)
         rotate_columns(v, i, j, theta)
-    trailing = [_wrap(float(-np.angle(v[k, k]))) for k in range(n)]
+    trailing = [_wrap(-x, abs(x)) for x in (float(np.angle(v[k, k])) for k in range(n))]
     word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))
     return DecompositionResult(word=word, residual=residual)

@@ -50,7 +50,7 @@ FD_STEP = 1e-6
 
 def _chart_with(c, unitary_values, eigen_values):
     params = tuple(
-        BlockParam(block=bp.block, delta=float(d) % TWO_PI, theta=float(t))
+        BlockParam(block=bp.block, delta=_wrap(float(d), abs(float(d))), theta=float(t))
         for bp, (d, t) in zip(c.unitary_params, zip(unitary_values[::2], unitary_values[1::2]))
     )
     eigen = EigenChart(pattern=c.pattern, angles=tuple(float(a) for a in eigen_values))
@@ -82,9 +82,16 @@ def fd_jacobian(c, include_eigen=False):
 # restart-until-stable reference for the one-pass ``rewrite_merge_phases``
 
 
+def _wrapped_phase(sums, mags):
+    """Phase atom of the sums reduced by ``_wrap``, zero angles dropped."""
+    wrapped = {idx: _wrap(val, mags[idx]) for idx, val in sums.items()}
+    return PhaseAtom({idx: val for idx, val in wrapped.items() if val != 0.0})
+
+
 def fixed_point_merge(w):
     """Merge adjacent diagonals and swap support-disjoint diagonals rightward
-    past rotations, restarting the scan until no move applies."""
+    past rotations, restarting the scan until no move applies; then wrap the
+    diagonals that merged with nothing and drop empty ones."""
     atoms = list(w.atoms)
     changed = True
     while changed:
@@ -93,11 +100,12 @@ def fixed_point_merge(w):
         while k + 1 < len(atoms):
             a, b = atoms[k], atoms[k + 1]
             if isinstance(a, PhaseAtom) and isinstance(b, PhaseAtom):
-                merged = dict(a.deltas)
+                merged, mags = dict(a.deltas), {idx: abs(val) for idx, val in a.deltas.items()}
                 for idx, val in b.deltas.items():
                     merged[idx] = merged.get(idx, 0.0) + val
-                merged = {idx: val % TWO_PI for idx, val in merged.items() if val % TWO_PI != 0.0}
-                atoms[k : k + 2] = [PhaseAtom(merged)] if merged else []
+                    mags[idx] = mags.get(idx, 0.0) + abs(val)
+                merged = _wrapped_phase(merged, mags)
+                atoms[k : k + 2] = [merged] if merged.deltas else []
                 changed = True
                 continue
             if (
@@ -109,10 +117,10 @@ def fixed_point_merge(w):
                 changed = True
                 continue
             k += 1
-        if atoms and isinstance(atoms[-1], PhaseAtom) and not atoms[-1].deltas:
-            atoms.pop()
-            changed = True
-    return Word(n=w.n, atoms=tuple(atoms))
+    for k, a in enumerate(atoms):
+        if isinstance(a, PhaseAtom):
+            atoms[k] = _wrapped_phase(a.deltas, {idx: abs(val) for idx, val in a.deltas.items()})
+    return Word(n=w.n, atoms=tuple(a for a in atoms if isinstance(a, RotationAtom) or a.deltas))
 
 
 # atom-walking reference for the one-parse ``classify_form`` and ``count_phases``
@@ -150,7 +158,7 @@ def _is_phase_adjoint(w):
         if not (_is_single_phase_on(left, rot) and _is_single_phase_on(right, rot)):
             return False
         (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
-        if li != ri or _wrap(lv + rv) != 0.0:
+        if li != ri or _wrap(lv + rv, abs(lv) + abs(rv)) != 0.0:
             return False
     return True
 

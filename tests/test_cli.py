@@ -191,6 +191,13 @@ def assert_one_line_usage_error(code, err):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_commutant_needs_random(capsys):
+    code, out, err = run(capsys, ["commutant", "--pattern", "2,1", "--seed", "1"])
+    assert_one_line_usage_error(code, err)
+    assert "--random" in err and out == ""
+    assert run(capsys, ["commutant", "--pattern", "2,1", "--seed", "1", "--random"])[0] == 0
+
+
 def test_bool_dim_exit_2(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": True, "entries": [[1.0, 0.0]]}))
@@ -271,6 +278,8 @@ def test_option_the_command_does_not_read_exit_2(capsys, tmp_path, command, opti
         (["verify"], {"dim": 1, "entries": [[10**400, 0]]}),
         (["rewrite", "--to", "opor"], {"n": 2.5, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
         (["rewrite", "--to", "km"], {"n": True, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
+        (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [True, 2], "theta": 0.1}]}),
+        (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [1, 2.0], "theta": 0.1}]}),
     ],
 )
 def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):

@@ -614,6 +614,21 @@ def test_atom_validation():
         Word(n=2, atoms=(RotationAtom(1, 3, 0.1),))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RotationAtom(True, 2, 0.1),
+        lambda: RotationAtom(1, 2.0, 0.1),
+        lambda: PhaseAtom({True: 0.3}),
+        lambda: PhaseAtom({2.0: 0.3}),
+    ],
+    ids=["rotation-bool", "rotation-float", "phase-bool", "phase-float"],
+)
+def test_atom_indices_must_be_integers(make):
+    with pytest.raises(ValueError, match=r"True|2\.0"):
+        make()
+
+
 @pytest.mark.parametrize("n", [2.5, True, "2", 0])
 def test_word_dimension_must_be_a_positive_integer(n):
     with pytest.raises(ValueError, match="n must be a positive integer"):
