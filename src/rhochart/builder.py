@@ -5,8 +5,8 @@ A density chart holds a degeneracy pattern, eigenvalue angles and one
 classes.  Blocks inside a class commute with the eigenvalue matrix and are
 pruned, together with the trailing diagonal, so the chart carries exactly
 ``orbit_dim(pattern)`` unitary parameters.  The numerical oracle for that
-count is the rank of the exact Jacobian of rho, whose unitary columns are
-commutators [X, rho] read off one sweep over the chart word.
+count is the rank of the exact Jacobian of rho, read in the eigenframe of rho
+as one square system over the chart's blocks after one sweep over the word.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from . import numerics
 from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
+from .numerics import _json_number
 from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
 from .words import phase_column, rotate_columns
 
@@ -85,13 +86,14 @@ class DensityChart:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DensityChart":
-        pattern = DegeneracyPattern.from_multiplicities(obj["pattern"])
-        eigen = EigenChart(pattern=pattern, angles=tuple(obj["eigen_angles"]))
+        mults = [_json_number(m, "pattern", int) for m in obj["pattern"]]
+        pattern = DegeneracyPattern.from_multiplicities(mults)
+        angles = tuple(_json_number(a, "eigen_angles") for a in obj["eigen_angles"])
         params = tuple(
-            BlockParam(block=tuple(e["block"]), delta=float(e["delta"]), theta=float(e["theta"]))
+            BlockParam(tuple(e["block"]), *(_json_number(e[k], k) for k in ("delta", "theta")))
             for e in obj["unitary_params"]
         )
-        return cls(pattern=pattern, eigen=eigen, unitary_params=params)
+        return cls(pattern, EigenChart(pattern, angles), params)
 
 
 @dataclass(frozen=True)
@@ -197,46 +199,46 @@ def _mass_gap(eigen: EigenChart) -> float:
 
 
 def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
-    """Exact d(rho)/d(params), columns in chart order then the eigen angles,
-    rows the real then imaginary parts of rho.
+    """Exact U^dagger d(rho)/d(params) U for rho = U D U^dagger: columns in chart
+    order then the eigen angles; rows sqrt(2) times the real, then the imaginary
+    parts over the chart's pairs k < l, then (with the eigen angles) the diagonal.
 
-    After a block's phase on index a the word prefix W gives X = i w_a w_a^dagger,
-    after its rotation on (i, j) X = w_i w_j^dagger - w_j w_i^dagger (dR/dtheta =
-    R J = J R, so either prefix serves); the column is X rho - rho X.  At the
-    end W = U, and an eigen angle moves rho along U diag(d lambda) U^dagger.
+    A parameter moves rho by [X, rho], X = x y^dagger - y x^dagger with x, y
+    columns of the word prefix W: x = i w_a / 2, y = w_a (either side of a block's
+    phase on a); x = w_i, y = w_j after its rotation on (i, j).  At the end W = U,
+    and entry (k, l) is Y_kl (lambda_l - lambda_k), Y = U^dagger X U: 0 in a class.
     """
-    n = c.pattern.n
-    rho = build_density(c)
-    w = np.eye(n, dtype=np.complex128)
-    gens = []
-    for bp in c.unitary_params:
+    n, p = c.pattern.n, 2 * len(c.unitary_params)
+    w, xy = np.eye(n, dtype=np.complex128), np.empty((2, n, p), dtype=np.complex128)
+    for col, bp in zip(range(0, p, 2), c.unitary_params):
         a = bp.block[0]
         phase_column(w, a, bp.delta)
-        gens.append(1j * np.outer(w[:, a - 1], w[:, a - 1].conj()))
+        xy[:, :, col] = 0.5j * w[:, a - 1], w[:, a - 1]
         i, j = sorted(bp.block)
         rotate_columns(w, i, j, bp.theta)
-        x = np.outer(w[:, i - 1], w[:, j - 1].conj())
-        gens.append(x - x.conj().T)
-    columns = [x @ rho - rho @ x for x in gens]
-    if include_eigen:
+        xy[:, :, col + 1] = w[:, i - 1], w[:, j - 1]
+    k, l = np.array([sorted(bp.block) for bp in c.unitary_params], dtype=int).reshape(-1, 2).T - 1
+    (vx, vy), lam = numerics.adjoint(w) @ xy, np.asarray(eigenvalues(c.eigen))
+    ykl = np.sqrt(2) * (lam[l] - lam[k])[:, None] * (vx[k] * vy.conj()[l] - vy[k] * vx.conj()[l])
+    masses = class_masses(c.eigen)
+    jac = np.zeros((p + n * include_eigen, p + (len(masses) - 1) * include_eigen))
+    jac[: p // 2, :p], jac[p // 2 : p, :p] = ykl.real, ykl.imag
+    for t, a in enumerate(c.eigen.angles if include_eigen else ()):
         # mass_m = cos^2(a_{m-1}) prod_{t >= m} sin^2(a_t), so d mass_m / d a_t
         # is mass_m * 2 cot(a_t) for m <= t, mass_m * -2 tan(a_t) for m = t + 1
-        masses = class_masses(c.eigen)
-        for t, a in enumerate(c.eigen.angles):
-            tan = math.tan(a)
-            dmass = [2.0 * mass / tan for mass in masses[: t + 1]] + [-2.0 * tan * masses[t + 1]]
-            dmass += [0.0] * (len(masses) - len(dmass))
-            dlam = np.asarray(spread(c.pattern, dmass))
-            columns.append((w * dlam) @ numerics.adjoint(w))
-    jac = np.array(columns, dtype=np.complex128).reshape(len(columns), n * n).T
-    return np.concatenate([jac.real, jac.imag])
+        tan = math.tan(a)
+        dmass = [2.0 * mass / tan for mass in masses[: t + 1]] + [-2.0 * tan * masses[t + 1]]
+        dmass += [0.0] * (len(masses) - len(dmass))
+        jac[p:, p + t] = spread(c.pattern, dmass)
+    return jac
 
 
 def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     """Numerical rank of the exact d(rho)/d(params): singular values above
-    ``SVD_THRESHOLD`` relative to the largest.  The chart must be interior,
-    angles ``INTERIOR_MARGIN`` inside their ranges and class masses separated,
-    or the rank would not reflect the declared pattern.
+    ``SVD_THRESHOLD`` relative to the largest.  Its eigenframe rows are an
+    orthogonal change of rho's real and imaginary rows, zero rows dropped.  The
+    chart must be interior, angles ``INTERIOR_MARGIN`` inside their ranges and
+    class masses separated, or the rank would not reflect the declared pattern.
 
     No threshold can certify ``orbit_dim`` beyond small n: the singular values
     decay without a gap, as the Euler-angle volume element, a product of

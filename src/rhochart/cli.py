@@ -108,10 +108,10 @@ def cmd_build(args):
     else:
         if args.seed is not None:
             raise _UsageError("--seed needs --random; a chart read from --in is not sampled")
-        obj = _read_json(args)
-        if "pattern" in obj and list(obj["pattern"]) != list(pattern.multiplicities):
+        obj = {"pattern": pattern.multiplicities, **_read_json(args)}
+        chart = builder.DensityChart.from_json(obj)
+        if chart.pattern != pattern:
             raise _UsageError("pattern in params file differs from --pattern")
-        chart = builder.DensityChart.from_json({**obj, "pattern": pattern.multiplicities})
     rho = builder.build_density(chart)
     report = builder.validate_density(rho, tol=args.tol)
     payload = {

@@ -66,12 +66,18 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"dim": n, "entries": entries}
 
 
+def _json_number(value, field: str, kind=(int, float)):
+    """``value`` if JSON read it as ``kind`` (a bool is neither); numbers come back as floats."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{field}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+    return value if kind is int else float(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    n = obj["dim"]
-    entries = obj["entries"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    n, entries = _json_number(obj["dim"], "dim", int), obj["entries"]
+    if n < 1:
         raise ValueError("dim must be a positive integer")
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return as_matrix(flat.reshape(n, n))
+    flat = [complex(_json_number(re, "entries"), _json_number(im, "entries")) for re, im in entries]
+    return as_matrix(np.array(flat, dtype=np.complex128).reshape(n, n))

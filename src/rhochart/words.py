@@ -42,6 +42,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
+from .numerics import _json_number
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
@@ -558,9 +559,10 @@ def word_from_json(obj: dict) -> Word:
             a, b = entry["rot"]
             if a == b:
                 raise ValueError(f"rotation pair must have distinct indices, got {entry['rot']}")
-            atoms.append(RotationAtom(min(a, b), max(a, b), float(entry["theta"])))
+            atoms.append(RotationAtom(min(a, b), max(a, b), _json_number(entry["theta"], "theta")))
         elif "phase" in entry:
-            atoms.append(PhaseAtom({int(k): float(v) for k, v in entry["phase"].items()}))
+            deltas = entry["phase"].items()
+            atoms.append(PhaseAtom({int(k): _json_number(v, "phase") for k, v in deltas}))
         else:
             raise ValueError(f"unknown atom {entry!r}")
     return Word(n=n, atoms=tuple(atoms))

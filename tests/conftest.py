@@ -5,9 +5,11 @@ import math
 import numpy as np
 
 from rhochart.builder import BlockParam, DensityChart, build_density
-from rhochart.charts import EigenChart
+from rhochart.charts import EigenChart, class_masses, spread
 from rhochart.degeneracy import DegeneracyPattern
+from rhochart.numerics import adjoint
 from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
+from rhochart.words import phase_column, rotate_columns
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,6 +79,42 @@ def fd_jacobian(c, include_eigen=False):
         minus[p] -= FD_STEP
         columns.append((rho_flat(plus) - rho_flat(minus)) / (2.0 * FD_STEP))
     return np.stack(columns, axis=1) if columns else np.zeros((2 * c.pattern.n**2, 0))
+
+
+def rho_frame_jacobian(c, include_eigen=False):
+    """Reference for the eigenframe ``_jacobian``: exact d(rho)/d(params) with
+    rows the real then imaginary parts of rho itself.
+
+    After a block's phase on index a the word prefix W gives X = i w_a w_a^dagger,
+    after its rotation on (i, j) X = w_i w_j^dagger - w_j w_i^dagger (dR/dtheta =
+    R J = J R, so either prefix serves); the column is X rho - rho X.  At the
+    end W = U, and an eigen angle moves rho along U diag(d lambda) U^dagger.
+    """
+    n = c.pattern.n
+    rho = build_density(c)
+    w = np.eye(n, dtype=np.complex128)
+    gens = []
+    for bp in c.unitary_params:
+        a = bp.block[0]
+        phase_column(w, a, bp.delta)
+        gens.append(1j * np.outer(w[:, a - 1], w[:, a - 1].conj()))
+        i, j = sorted(bp.block)
+        rotate_columns(w, i, j, bp.theta)
+        x = np.outer(w[:, i - 1], w[:, j - 1].conj())
+        gens.append(x - x.conj().T)
+    columns = [x @ rho - rho @ x for x in gens]
+    if include_eigen:
+        # mass_m = cos^2(a_{m-1}) prod_{t >= m} sin^2(a_t), so d mass_m / d a_t
+        # is mass_m * 2 cot(a_t) for m <= t, mass_m * -2 tan(a_t) for m = t + 1
+        masses = class_masses(c.eigen)
+        for t, a in enumerate(c.eigen.angles):
+            tan = math.tan(a)
+            dmass = [2.0 * mass / tan for mass in masses[: t + 1]] + [-2.0 * tan * masses[t + 1]]
+            dmass += [0.0] * (len(masses) - len(dmass))
+            dlam = np.asarray(spread(c.pattern, dmass))
+            columns.append((w * dlam) @ adjoint(w))
+    jac = np.array(columns, dtype=np.complex128).reshape(len(columns), n * n).T
+    return np.concatenate([jac.real, jac.imag])
 
 
 # restart-until-stable reference for the one-pass ``rewrite_merge_phases``

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_phase, dense_product, dense_rotation, fd_jacobian, random_pattern
+from conftest import (
+    dense_phase,
+    dense_product,
+    dense_rotation,
+    fd_jacobian,
+    random_pattern,
+    rho_frame_jacobian,
+)
 from rhochart.builder import (
     SVD_THRESHOLD,
     BlockParam,
@@ -376,6 +383,12 @@ def _rank(jac):
     return 0 if sv.size == 0 or sv[0] == 0.0 else int(np.sum(sv > SVD_THRESHOLD * sv[0]))
 
 
+def _pair_indices(chart):
+    """0-based (k, l) of the chart's pairs k < l, the rows ``_jacobian`` keeps."""
+    pairs = np.array([sorted(bp.block) for bp in chart.unitary_params], dtype=int)
+    return tuple(pairs.reshape(-1, 2).T - 1)
+
+
 @pytest.mark.parametrize("include_eigen", [False, True])
 def test_exact_jacobian_matches_finite_differences(include_eigen):
     rng = np.random.default_rng(13)
@@ -384,10 +397,46 @@ def test_exact_jacobian_matches_finite_differences(include_eigen):
             chart = random_density_chart(pat(*mults), rng, interior=True)
             exact = _jacobian(chart, include_eigen)
             reference = fd_jacobian(chart, include_eigen)
-            assert exact.shape == reference.shape
+            # each column as U^dagger d(rho) U, then the rows the eigenframe keeps
+            u = evaluate(kept_word(chart))
+            drho = (reference[: n * n] + 1j * reference[n * n :]).reshape(n, n, -1)
+            frame = np.einsum("ki,ijc,jl->klc", adjoint(u), drho, u)
+            kept = np.sqrt(2.0) * frame[_pair_indices(chart)]
+            diagonal = frame[range(n), range(n)]
+            selected = np.concatenate([kept.real, kept.imag] + [diagonal.real] * include_eigen)
+            assert exact.shape == selected.shape
             scale = np.max(np.abs(reference), initial=0.0)
-            assert np.max(np.abs(exact - reference), initial=0.0) <= 1e-6 * scale, mults
+            assert np.max(np.abs(exact - selected), initial=0.0) <= 1e-6 * scale, mults
+            # what the eigenframe drops is zero: in-class entries, unitary columns' diagonal
+            same = np.array([[chart.pattern.same_class(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+            in_class = frame[same & ~np.eye(n, dtype=bool)]
+            unitary_diagonal = diagonal[:, : 2 * len(chart.unitary_params)]
+            for dropped in (in_class, unitary_diagonal):
+                assert np.max(np.abs(dropped), initial=0.0) <= 1e-6 * scale, mults
             assert _rank(reference) == jacobian_rank(chart, include_eigen), mults
+
+
+@pytest.mark.parametrize("include_eigen", [False, True])
+def test_eigenframe_jacobian_keeps_rho_frame_singular_values(include_eigen):
+    """The eigenframe rows are an orthogonal change of rho's real and imaginary
+    rows, zero rows dropped: same singular values, square over the kept blocks."""
+    rng = np.random.default_rng(14)
+    mults = [m for n in range(2, 7) for m in all_partitions(n)]
+    mults += [(1,) * 8, (2,) + (1,) * 6, (7, 1), (4, 4)]
+    charts = [random_density_chart(pat(*m), rng, interior=True) for m in mults]
+    if not include_eigen:
+        singletons = DegeneracyPattern.singletons(32)
+        charts.append(prune_equivalence(random_full_params(singletons, rng), singletons))
+    for chart in charts:
+        pattern = chart.pattern
+        jac = _jacobian(chart, include_eigen)
+        dim, extra = orbit_dim(pattern), (pattern.num_classes - 1) * include_eigen
+        assert jac.shape == (dim + pattern.n * include_eigen, dim + extra)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        reference = np.linalg.svd(rho_frame_jacobian(chart, include_eigen), compute_uv=False)
+        assert sv.shape == reference.shape
+        largest = np.max(reference, initial=0.0)
+        assert np.max(np.abs(sv - reference), initial=0.0) <= 1e-11 * largest, pattern.multiplicities
 
 
 def test_jacobian_rank_rejects_boundary_chart():

@@ -267,6 +267,14 @@ def test_option_the_command_does_not_read_exit_2(capsys, tmp_path, command, opti
     assert out == ""
 
 
+#: the chart ``write_chart_21`` writes, which ``build --pattern 2,1 --in`` accepts
+CHART_21 = {
+    "pattern": [2, 1],
+    "eigen_angles": [0.7],
+    "unitary_params": [{"block": [3, 1], "delta": 0.5, "theta": 0.2}, {"block": [2, 3], "delta": 1.5, "theta": 0.9}],
+}
+
+
 @pytest.mark.parametrize(
     "argv, contents",
     [
@@ -280,6 +288,15 @@ def test_option_the_command_does_not_read_exit_2(capsys, tmp_path, command, opti
         (["rewrite", "--to", "km"], {"n": True, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
         (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [True, 2], "theta": 0.1}]}),
         (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [1, 2.0], "theta": 0.1}]}),
+        (["decompose"], {"dim": 1, "entries": [[True, 0]]}),
+        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": True}]}),
+        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": "0.5"}]}),
+        (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [True]}),
+        (
+            ["build", "--pattern", "2,1"],
+            {**CHART_21, "unitary_params": [{"block": [3, 1], "delta": False, "theta": "0.2"}, CHART_21["unitary_params"][1]]},
+        ),
+        (["build", "--pattern", "2,1"], {**CHART_21, "pattern": [2, True]}),
     ],
 )
 def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):
