@@ -26,26 +26,28 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_UNREACHABLE = 4
 
+#: exit code of a rejected request, by error type; any other ValueError or OSError is a usage error
+_EXIT_CODES = {NotUnitaryError: EXIT_VALIDATION, words.UnreachableFormError: EXIT_UNREACHABLE}
+
 #: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
 MAX_DIM = 256
-
-
-class _UsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports argument errors as a usage error: one ``error:`` line, exit 2."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _read_json(args) -> dict:
-    if args.infile:
-        with open(args.infile) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+def _read_json(args):
+    try:
+        if args.infile:
+            with open(args.infile) as fh:
+                return json.load(fh)
+        return json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("input: JSON nests too deeply") from None
 
 
 def _emit(args, payload: dict):
@@ -59,26 +61,26 @@ def _emit(args, payload: dict):
 
 def _check_dim(n: int):
     if n > MAX_DIM:
-        raise _UsageError(f"dimension {n} exceeds the limit of {MAX_DIM}")
+        raise ValueError(f"dimension {n} exceeds the limit of {MAX_DIM}")
 
 
 def _pattern_from_args(args) -> degeneracy.DegeneracyPattern:
     if not args.pattern:
-        raise _UsageError("--pattern is required")
+        raise ValueError("--pattern is required")
     try:
         mults = [int(part) for part in args.pattern.split(",")]
     except ValueError:
-        raise _UsageError(f"malformed pattern string: {args.pattern!r}") from None
+        raise ValueError(f"malformed pattern string: {args.pattern!r}") from None
     _check_dim(sum(mults))  # before the classes of "--pattern 1000000000" fill memory
     pattern = degeneracy.DegeneracyPattern.from_multiplicities(mults)
     if args.n is not None and args.n != pattern.n:
-        raise _UsageError(f"--n {args.n} inconsistent with pattern of size {pattern.n}")
+        raise ValueError(f"--n {args.n} inconsistent with pattern of size {pattern.n}")
     return pattern
 
 
 def _rng_from_args(args) -> np.random.Generator:
     if args.seed is None:
-        raise _UsageError("--seed is required for randomized actions")
+        raise ValueError("--seed is required for randomized actions")
     return np.random.default_rng(args.seed)
 
 
@@ -103,15 +105,17 @@ def cmd_build(args):
     pattern = _pattern_from_args(args)
     if args.random:
         if args.infile:
-            raise _UsageError("--in cannot be combined with --random, which reads no chart")
+            raise ValueError("--in cannot be combined with --random, which reads no chart")
         chart = builder.random_density_chart(pattern, _rng_from_args(args))
     else:
         if args.seed is not None:
-            raise _UsageError("--seed needs --random; a chart read from --in is not sampled")
-        obj = {"pattern": pattern.multiplicities, **_read_json(args)}
+            raise ValueError("--seed needs --random; a chart read from --in is not sampled")
+        mults = list(pattern.multiplicities)
+        obj = {"pattern": mults, **numerics._json(_read_json(args), "input", dict)}
+        # compared before any pattern is built: "pattern": [1000000] would take minutes
+        if numerics._json(obj["pattern"], "pattern", list) != mults:
+            raise ValueError(f"pattern: differs from --pattern {args.pattern}")
         chart = builder.DensityChart.from_json(obj)
-        if chart.pattern != pattern:
-            raise _UsageError("pattern in params file differs from --pattern")
     rho = builder.build_density(chart)
     report = builder.validate_density(rho, tol=args.tol)
     payload = {
@@ -126,8 +130,7 @@ def cmd_build(args):
 def cmd_rewrite(args):
     word = words.word_from_json(_read_json(args))
     _check_dim(word.n)
-    target = {"opor": words.WordForm.ONE_PHASE_ONE_ROTATION, "km": words.WordForm.KM}[args.to]
-    rewritten = words.normalize(word, target)
+    rewritten = words.normalize(word, words.WordForm(args.to))
     diff = numerics.max_abs_diff(words.evaluate(word), words.evaluate(rewritten))
     _emit(args, {"word": words.word_to_json(rewritten), "max_abs_diff": diff})
     return EXIT_OK
@@ -149,7 +152,7 @@ def cmd_verify(args):
 
 def cmd_commutant(args):
     if not args.random:
-        raise _UsageError("commutant only samples; it needs --random and --seed")
+        raise ValueError("commutant only samples; it needs --random and --seed")
     pattern = _pattern_from_args(args)
     rng = _rng_from_args(args)
     spec = builder.random_commutant_spec(pattern, rng)
@@ -228,15 +231,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except NotUnitaryError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except words.UnreachableFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

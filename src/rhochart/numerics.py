@@ -8,6 +8,8 @@ Equality is always tolerance-based via :func:`max_abs_diff`.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 #: library-wide default comparison tolerance, overridable per call
@@ -66,18 +68,34 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"dim": n, "entries": entries}
 
 
-def _json_number(value, field: str, kind=(int, float)):
-    """``value`` if JSON read it as ``kind`` (a bool is neither); numbers come back as floats."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{field}: {value!r} is not {'an integer' if kind is int else 'a number'}")
-    return value if kind is int else float(value)
+def _json(value, path: str, kind):
+    """``value`` read at JSON ``path`` as ``kind``: int, float, list, dict, ``[kind]`` (a list
+    of ``kind``) or a tuple of kinds (a list of exactly those).  A bool is never a number; a
+    float is an int or float finite as a float, returned as a float.  Anything else is a
+    ``ValueError`` naming ``path``, the one way a decoder rejects its input."""
+    if isinstance(kind, (list, tuple)):
+        items = _json(value, path, list)
+        kinds = kind * len(items) if isinstance(kind, list) else kind
+        if len(items) != len(kinds):
+            raise ValueError(f"{path}: expected {len(kinds)} values, got {len(items)}")
+        return [_json(v, f"{path}[{k}]", t) for k, (v, t) in enumerate(zip(items, kinds))]
+    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        if kind is not float:
+            return value
+        if abs(value) <= sys.float_info.max:  # exact for an int; false for nan
+            return float(value)
+    text = repr(value) if value is None or isinstance(value, (int, float, str)) else ""
+    shown = text if 0 < len(text) <= 40 else type(value).__name__
+    names = {int: "an integer", float: "a finite number", list: "a list", dict: "an object"}
+    raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    n, entries = _json_number(obj["dim"], "dim", int), obj["entries"]
+    obj = _json(obj, "input", dict)
+    n, entries = _json(obj.get("dim"), "dim", int), _json(obj.get("entries"), "entries", list)
     if n < 1:
-        raise ValueError("dim must be a positive integer")
+        raise ValueError(f"dim: expected a positive integer, got {n}")
     if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    flat = [complex(_json_number(re, "entries"), _json_number(im, "entries")) for re, im in entries]
+        raise ValueError(f"entries: expected {n * n} [re, im] pairs, got {len(entries)}")
+    flat = [complex(*_json(pair, f"entries[{k}]", (float, float))) for k, pair in enumerate(entries)]
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(n, n))

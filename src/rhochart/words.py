@@ -42,7 +42,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .numerics import _json_number
+from .numerics import _json
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
@@ -552,17 +552,20 @@ def word_to_json(w: Word) -> dict:
 
 
 def word_from_json(obj: dict) -> Word:
-    n = obj["n"]
+    obj = _json(obj, "input", dict)
     atoms: list[Atom] = []
-    for entry in obj["atoms"]:
+    for pos, entry in enumerate(_json(obj.get("atoms"), "atoms", [dict])):
+        at = f"atoms[{pos}]"
+        if ("rot" in entry) == ("phase" in entry):
+            raise ValueError(f"{at}: expected exactly one of 'rot' and 'phase'")
         if "rot" in entry:
-            a, b = entry["rot"]
-            if a == b:
-                raise ValueError(f"rotation pair must have distinct indices, got {entry['rot']}")
-            atoms.append(RotationAtom(min(a, b), max(a, b), _json_number(entry["theta"], "theta")))
-        elif "phase" in entry:
-            deltas = entry["phase"].items()
-            atoms.append(PhaseAtom({int(k): _json_number(v, "phase") for k, v in deltas}))
+            i, j = sorted(_json(entry["rot"], f"{at}.rot", (int, int)))
+            atoms.append(RotationAtom(i, j, _json(entry.get("theta"), f"{at}.theta", float)))
         else:
-            raise ValueError(f"unknown atom {entry!r}")
-    return Word(n=n, atoms=tuple(atoms))
+            deltas = {}
+            for k, v in _json(entry["phase"], f"{at}.phase", dict).items():
+                if not (k.isdecimal() and str(int(k)) == k):  # the keys word_to_json writes
+                    raise ValueError(f"{at}.phase: expected index keys such as '3', got {k!r}")
+                deltas[int(k)] = _json(v, f"{at}.phase.{k}", float)
+            atoms.append(PhaseAtom(deltas))
+    return Word(n=_json(obj.get("n"), "n", int), atoms=tuple(atoms))

@@ -275,36 +275,74 @@ CHART_21 = {
 }
 
 
+#: (argv, input, the JSON path its one error line names)
+MALFORMED_JSON = [
+    (["rewrite", "--to", "km"], {"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}, "n"),
+    (["rewrite", "--to", "opor"], {"n": 2, "atoms": None}, "atoms"),
+    (["verify"], {"dim": 2, "entries": 5}, "entries"),
+    (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"phase": [1]}]}, "atoms[0].phase"),
+    (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": 10**400}]}, "atoms[0].theta"),
+    (["verify"], {"dim": 1, "entries": [[10**400, 0]]}, "entries[0][0]"),
+    (["rewrite", "--to", "opor"], {"n": 2.5, "atoms": [{"rot": [1, 2], "theta": 0.1}]}, "n"),
+    (["rewrite", "--to", "km"], {"n": True, "atoms": [{"rot": [1, 2], "theta": 0.1}]}, "n"),
+    (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [True, 2], "theta": 0.1}]}, "atoms[0].rot[0]"),
+    (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [1, 2.0], "theta": 0.1}]}, "atoms[0].rot[1]"),
+    (["decompose"], {"dim": 1, "entries": [[True, 0]]}, "entries[0][0]"),
+    (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": True}]}, "atoms[0].theta"),
+    (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": "0.5"}]}, "atoms[0].theta"),
+    (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [True]}, "eigen_angles[0]"),
+    (
+        ["build", "--pattern", "2,1"],
+        {**CHART_21, "unitary_params": [{"block": [3, 1], "delta": False, "theta": "0.2"}, CHART_21["unitary_params"][1]]},
+        "unitary_params[0].delta",
+    ),
+    (["build", "--pattern", "2,1"], {**CHART_21, "pattern": [2, True]}, "pattern[1]"),
+    # an atom is exactly one of a rotation and a phase
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": 0.3, "phase": {"1": 0.5}}]}, "atoms[0]"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"theta": 0.3}]}, "atoms[0]"),
+    # phase keys are the indices word_to_json writes: int("1_0") is 10
+    (["rewrite", "--to", "km"], {"n": 10, "atoms": [{"phase": {"1_0": 0.5}}]}, "atoms[0].phase"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [1, 2, 3], "theta": 0.3}]}, "atoms[0].rot"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": math.nan}]}, "atoms[0].theta"),
+    (["rewrite", "--to", "km"], [1], "input"),
+    (
+        ["build", "--pattern", "2,1"],
+        {**CHART_21, "unitary_params": [{"block": [3.0, 1], "delta": 0.5, "theta": 0.2}, CHART_21["unitary_params"][1]]},
+        "unitary_params[0].block[0]",
+    ),
+    # a file's own pattern is compared with --pattern before it is built
+    (["build", "--pattern", "2,1"], {"pattern": [1000000], "eigen_angles": [], "unitary_params": []}, "pattern"),
+    (["build", "--pattern", "2,1"], {**CHART_21, "pattern": [10**400, 1]}, "pattern"),
+    (["build", "--pattern", "2,1"], "2,1", "input"),
+    (["decompose"], {"dim": 2}, "entries"),
+    (["verify"], {"dim": 0, "entries": []}, "dim"),
+    (["verify"], {"dim": 1, "entries": [[1.0, 0.0, 0.0]]}, "entries[0]"),
+]
+
+
+# ids number the argv and contents only, so a case keeps its id whatever field it names
 @pytest.mark.parametrize(
-    "argv, contents",
-    [
-        (["rewrite", "--to", "km"], {"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}),
-        (["rewrite", "--to", "opor"], {"n": 2, "atoms": None}),
-        (["verify"], {"dim": 2, "entries": 5}),
-        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"phase": [1]}]}),
-        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": 10**400}]}),
-        (["verify"], {"dim": 1, "entries": [[10**400, 0]]}),
-        (["rewrite", "--to", "opor"], {"n": 2.5, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
-        (["rewrite", "--to", "km"], {"n": True, "atoms": [{"rot": [1, 2], "theta": 0.1}]}),
-        (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [True, 2], "theta": 0.1}]}),
-        (["rewrite", "--to", "opor"], {"n": 3, "atoms": [{"rot": [1, 2.0], "theta": 0.1}]}),
-        (["decompose"], {"dim": 1, "entries": [[True, 0]]}),
-        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": True}]}),
-        (["rewrite", "--to", "opor"], {"n": 2, "atoms": [{"rot": [1, 2], "theta": "0.5"}]}),
-        (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [True]}),
-        (
-            ["build", "--pattern", "2,1"],
-            {**CHART_21, "unitary_params": [{"block": [3, 1], "delta": False, "theta": "0.2"}, CHART_21["unitary_params"][1]]},
-        ),
-        (["build", "--pattern", "2,1"], {**CHART_21, "pattern": [2, True]}),
-    ],
+    "argv, contents, field", MALFORMED_JSON, ids=[f"argv{k}-contents{k}" for k in range(len(MALFORMED_JSON))]
 )
-def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents):
+def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents, field):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(contents))
     code, out, err = run(capsys, argv + ["--in", str(path)])
     assert_one_line_usage_error(code, err)
+    assert err.startswith(f"error: {field}: "), err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["decompose"], ["rewrite", "--to", "km"], ["build", "--pattern", "2,1"]],
+)
+def test_deeply_nested_json_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, argv + ["--in", str(path)])
+    assert_one_line_usage_error(code, err)
+    assert err.startswith("error: input: ") and out == ""
 
 
 def test_rewrite_rejects_dimension_above_cap(capsys, tmp_path):
