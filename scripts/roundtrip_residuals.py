@@ -12,8 +12,9 @@ import sys
 
 import numpy as np
 
-from rhochart.decompose import decompose, reconstruct
+from rhochart.decompose import decompose
 from rhochart.numerics import haar_unitary, max_abs_diff
+from rhochart.words import evaluate
 
 BOUND = 1e-10
 
@@ -34,7 +35,7 @@ def main():
             u = haar_unitary(n, rng)
             result = decompose(u)
             worst_res = max(worst_res, result.residual)
-            worst_rt = max(worst_rt, max_abs_diff(reconstruct(result), u))
+            worst_rt = max(worst_rt, max_abs_diff(evaluate(result.word), u))
         print(f"{n:>3}{worst_res:>18.3e}{worst_rt:>18.3e}")
         worst = max(worst, worst_res, worst_rt)
     if worst >= BOUND:

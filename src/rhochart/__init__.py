@@ -20,7 +20,7 @@ from .builder import (
     validate_density,
 )
 from .charts import EigenChart, eigen_matrix, eigenvalues, fit_chart
-from .decompose import DecompositionResult, NotUnitaryError, decompose, reconstruct
+from .decompose import DecompositionResult, NotUnitaryError, decompose
 from .degeneracy import (
     DegeneracyPattern,
     all_partitions,

@@ -118,18 +118,10 @@ class CommutantSpec:
         if len(self.phases) != self.pattern.n:
             raise ValueError(f"expected {self.pattern.n} diagonal phases")
 
-    @property
-    def param_count(self) -> int:
-        return 2 * len(self.block_params) + len(self.phases)
-
 
 def kept_word(c: DensityChart) -> Word:
     """The pruned unitary word: in-class blocks and trailing diagonal removed."""
     return opor_word(c.pattern.n, c.unitary_params)
-
-
-def commutant_word(s: CommutantSpec) -> Word:
-    return opor_word(s.pattern.n, s.block_params, s.phases)
 
 
 def build_density(c: DensityChart) -> np.ndarray:
@@ -141,7 +133,7 @@ def build_density(c: DensityChart) -> np.ndarray:
 
 def build_commutant(s: CommutantSpec) -> np.ndarray:
     """Unitary commuting with every diagonal that respects the pattern."""
-    return evaluate(commutant_word(s))
+    return evaluate(opor_word(s.pattern.n, s.block_params, s.phases))
 
 
 def split_full_params(full_params, pattern: DegeneracyPattern):

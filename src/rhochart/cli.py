@@ -48,6 +48,8 @@ def _read_json(args):
         return json.load(sys.stdin)
     except RecursionError:
         raise ValueError("input: JSON nests too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"input: {exc}") from None
 
 
 def _emit(args, payload: dict):

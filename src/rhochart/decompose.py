@@ -73,8 +73,3 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
     word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))
     return DecompositionResult(word=word, residual=residual)
-
-
-def reconstruct(r: DecompositionResult) -> np.ndarray:
-    """Evaluate the recovered chart word."""
-    return evaluate(r.word)

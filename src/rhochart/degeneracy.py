@@ -22,18 +22,20 @@ class DegeneracyPattern:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        seen: set[int] = set()
-        for cls in self.classes:
+        table = [None] * (self.n + 1)
+        for pos, cls in enumerate(self.classes):
             if not cls:
                 raise ValueError("empty class")
             for idx in cls:
                 if not 1 <= idx <= self.n:
                     raise ValueError(f"index {idx} outside 1..{self.n}")
-                if idx in seen:
+                if table[idx] is not None:
                     raise ValueError(f"index {idx} appears in two classes")
-                seen.add(idx)
-        if len(seen) != self.n:
+                table[idx] = pos
+        if None in table[1:]:
             raise ValueError("classes must cover every index exactly once")
+        # class position of each index (slot 0 unused); derived, so not a field
+        object.__setattr__(self, "_class", table)
 
     @classmethod
     def from_multiplicities(cls, mults: Sequence[int]) -> "DegeneracyPattern":
@@ -59,14 +61,11 @@ class DegeneracyPattern:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def class_of(self, index: int) -> int:
-        for pos, cls in enumerate(self.classes):
-            if index in cls:
-                return pos
-        raise ValueError(f"index {index} outside 1..{self.n}")
-
     def same_class(self, i: int, j: int) -> bool:
-        return self.class_of(i) == self.class_of(j)
+        for index in (i, j):
+            if not 1 <= index <= self.n:
+                raise ValueError(f"index {index} outside 1..{self.n}")
+        return self._class[i] == self._class[j]
 
 
 def degrees_of_degeneracy(p: DegeneracyPattern) -> int:
@@ -116,15 +115,11 @@ def canonical_order(p: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
     lexicographic order, which is deterministic and reproduces the familiar
     (3,1), (2,3), (1,2) sequence for n = 3.
     """
-    inter: list[tuple[int, int]] = []
-    intra: list[tuple[int, int]] = []
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            label = oriented_pair(i, j, p.n)
-            (intra if p.same_class(i, j) else inter).append(label)
-    inter.sort(reverse=True)
-    intra.sort(reverse=True)
-    return tuple(inter + intra)
+    cls = p._class
+    pairs = [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)]
+    inter = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] != cls[j]]
+    intra = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] == cls[j]]
+    return tuple(sorted(inter, reverse=True) + sorted(intra, reverse=True))
 
 
 def all_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,7 +1,7 @@
 """Dense complex matrix helpers shared by the rest of the package.
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
-Sizes reach n = 32, where an O(n^3) product per atom would dominate, so word
+Sizes reach n = 256, where an O(n^3) product per atom would dominate, so word
 products run on the in-place column kernel of :mod:`rhochart.words` instead.
 Equality is always tolerance-based via :func:`max_abs_diff`.
 """
@@ -26,10 +26,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128)
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(np.asarray(a, dtype=np.complex128)).T
@@ -49,7 +45,7 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = as_matrix(a)
-    return max_abs_diff(a @ adjoint(a), identity(a.shape[0])) <= tol
+    return max_abs_diff(a @ adjoint(a), np.eye(a.shape[0])) <= tol
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

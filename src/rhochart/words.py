@@ -553,19 +553,25 @@ def word_to_json(w: Word) -> dict:
 
 def word_from_json(obj: dict) -> Word:
     obj = _json(obj, "input", dict)
-    atoms: list[Atom] = []
+    n, atoms = _json(obj.get("n"), "n", int), []
+    if n < 1:
+        raise ValueError(f"n: expected a positive integer, got {n}")
     for pos, entry in enumerate(_json(obj.get("atoms"), "atoms", [dict])):
         at = f"atoms[{pos}]"
         if ("rot" in entry) == ("phase" in entry):
             raise ValueError(f"{at}: expected exactly one of 'rot' and 'phase'")
         if "rot" in entry:
             i, j = sorted(_json(entry["rot"], f"{at}.rot", (int, int)))
+            if not 1 <= i < j <= n:
+                raise ValueError(f"{at}.rot: expected two different indices in 1..{n}")
             atoms.append(RotationAtom(i, j, _json(entry.get("theta"), f"{at}.theta", float)))
         else:
             deltas = {}
             for k, v in _json(entry["phase"], f"{at}.phase", dict).items():
                 if not (k.isdecimal() and str(int(k)) == k):  # the keys word_to_json writes
                     raise ValueError(f"{at}.phase: expected index keys such as '3', got {k!r}")
+                if not 1 <= int(k) <= n:
+                    raise ValueError(f"{at}.phase.{k}: expected an index in 1..{n}")
                 deltas[int(k)] = _json(v, f"{at}.phase.{k}", float)
             atoms.append(PhaseAtom(deltas))
-    return Word(n=_json(obj.get("n"), "n", int), atoms=tuple(atoms))
+    return Word(n=n, atoms=tuple(atoms))

@@ -6,7 +6,7 @@ import numpy as np
 
 from rhochart.builder import BlockParam, DensityChart, build_density
 from rhochart.charts import EigenChart, class_masses, spread
-from rhochart.degeneracy import DegeneracyPattern
+from rhochart.degeneracy import DegeneracyPattern, oriented_pair
 from rhochart.numerics import adjoint
 from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
 from rhochart.words import phase_column, rotate_columns
@@ -302,3 +302,35 @@ def random_pattern(n, rng) -> DegeneracyPattern:
         mults.append(m)
         remaining -= m
     return DegeneracyPattern.from_multiplicities(mults)
+
+
+def reference_canonical_order(p: DegeneracyPattern):
+    """Reference for ``canonical_order``: the earlier body, which finds the class
+    of both indices by a scan over the classes for every pair, O(n^3), where the
+    library reads the pattern's index -> class table."""
+
+    def class_of(index):
+        for pos, cls in enumerate(p.classes):
+            if index in cls:
+                return pos
+        raise ValueError(f"index {index} outside 1..{p.n}")
+
+    inter: list[tuple[int, int]] = []
+    intra: list[tuple[int, int]] = []
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            label = oriented_pair(i, j, p.n)
+            (intra if class_of(i) == class_of(j) else inter).append(label)
+    inter.sort(reverse=True)
+    intra.sort(reverse=True)
+    return tuple(inter + intra)
+
+
+def random_scattered_pattern(n, rng) -> DegeneracyPattern:
+    """Random pattern whose classes are not contiguous: a shuffled 1..n cut at
+    random points."""
+    indices = [int(k) for k in rng.permutation(np.arange(1, n + 1))]
+    cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+    bounds = [0, *sorted(int(c) for c in cuts), n]
+    classes = tuple(tuple(indices[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return DegeneracyPattern(n=n, classes=classes)

@@ -18,7 +18,7 @@ from rhochart.builder import (
     random_density_chart,
 )
 from rhochart.charts import EigenChart, eigen_matrix, eigenvalues, fit_chart
-from rhochart.decompose import decompose, reconstruct
+from rhochart.decompose import decompose
 from rhochart.degeneracy import (
     DegeneracyPattern,
     all_partitions,
@@ -130,7 +130,7 @@ def test_criterion_6_surjectivity_round_trip():
         for _ in range(500):
             u = haar_unitary(n, rng)
             result = decompose(u)
-            worst = max(worst, max_abs_diff(reconstruct(result), u))
+            worst = max(worst, max_abs_diff(evaluate(result.word), u))
             assert result.residual < 1e-10
             for atom in result.word.atoms:
                 if isinstance(atom, RotationAtom):

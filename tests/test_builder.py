@@ -18,7 +18,6 @@ from rhochart.builder import (
     DensityChart,
     build_commutant,
     build_density,
-    commutant_word,
     _jacobian,
     dropped_blocks,
     jacobian_rank,
@@ -260,7 +259,7 @@ def test_commutant_fully_degenerate_class():
     pattern = pat(3)
     spec = random_commutant_spec(pattern, rng)
     assert len(spec.block_params) == 3
-    assert spec.param_count == redundant_params(pattern) + 3 == 9
+    assert 2 * len(spec.block_params) + len(spec.phases) == redundant_params(pattern) + 3 == 9
     c = build_commutant(spec)
     d = np.diag([0.4, 0.4, 0.4]).astype(complex)
     assert max_abs_diff(c @ d, d @ c) < 1e-13
@@ -342,7 +341,7 @@ def test_prune_equivalence_with_nonzero_deleted_params():
         # the deleted parameters form a commutant: appending its word to the
         # kept word reproduces the full chart's density exactly
         spec = CommutantSpec(pattern=pattern, block_params=dropped, phases=trailing)
-        u_full = evaluate(kept_word(chart)) @ evaluate(commutant_word(spec))
+        u_full = evaluate(kept_word(chart)) @ build_commutant(spec)
         d = eigen_matrix(chart.eigen)
         rho_full = u_full @ d @ adjoint(u_full)
         assert max_abs_diff(rho_full, build_density(chart)) < 1e-12

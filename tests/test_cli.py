@@ -317,6 +317,15 @@ MALFORMED_JSON = [
     (["decompose"], {"dim": 2}, "entries"),
     (["verify"], {"dim": 0, "entries": []}, "dim"),
     (["verify"], {"dim": 1, "entries": [[1.0, 0.0, 0.0]]}, "entries[0]"),
+    # bytes are written as they are: a JSON syntax error names the input
+    (["rewrite", "--to", "km"], b'{"n":2,"atoms":[\n', "input"),
+    # an index out of range names its JSON path, not the atom it would build
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [1, 3], "theta": 0.1}]}, "atoms[0].rot"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [2, 2], "theta": 0.1}]}, "atoms[0].rot"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"rot": [0, 2], "theta": 0.1}]}, "atoms[0].rot"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"0": 0.1}}]}, "atoms[0].phase.0"),
+    (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"3": 0.1}}]}, "atoms[0].phase.3"),
+    (["rewrite", "--to", "km"], {"n": 0, "atoms": [{"rot": [1, 2], "theta": 0.1}]}, "n"),
 ]
 
 
@@ -326,7 +335,7 @@ MALFORMED_JSON = [
 )
 def test_malformed_json_shape_exit_2(capsys, tmp_path, argv, contents, field):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(contents))
+    path.write_bytes(contents if isinstance(contents, bytes) else json.dumps(contents).encode())
     code, out, err = run(capsys, argv + ["--in", str(path)])
     assert_one_line_usage_error(code, err)
     assert err.startswith(f"error: {field}: "), err

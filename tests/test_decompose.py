@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rhochart.decompose import DecompositionResult, NotUnitaryError, decompose, reconstruct
+from rhochart.decompose import DecompositionResult, NotUnitaryError, decompose
 from rhochart.numerics import haar_unitary, max_abs_diff
 from rhochart.words import (
     PhaseAtom,
@@ -38,7 +38,7 @@ def test_single_block_round_trip():
     delta, theta = 0.7, 0.4
     u = evaluate(make_opor_chart(2, [delta, theta, 0.0, 0.0]))
     result = decompose(u)
-    assert max_abs_diff(reconstruct(result), u) < 1e-13
+    assert max_abs_diff(evaluate(result.word), u) < 1e-13
     assert result.residual < 1e-13
 
 
@@ -49,7 +49,7 @@ def test_round_trip_random_unitaries():
             u = haar_unitary(n, rng)
             result = decompose(u)
             assert result.residual < 1e-12
-            assert max_abs_diff(reconstruct(result), u) < 1e-12
+            assert max_abs_diff(evaluate(result.word), u) < 1e-12
 
 
 def test_output_form_and_ranges():
@@ -87,8 +87,8 @@ def test_double_round_trip_is_stable():
     rng = np.random.default_rng(2)
     u = evaluate(make_opor_chart(4, rng.uniform(0, 1, 16)))
     first = decompose(u)
-    second = decompose(reconstruct(first))
-    assert max_abs_diff(reconstruct(second), u) < 1e-12
+    second = decompose(evaluate(first.word))
+    assert max_abs_diff(evaluate(second.word), u) < 1e-12
 
 
 def test_rejects_non_unitary_input():

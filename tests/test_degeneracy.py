@@ -1,4 +1,8 @@
+import itertools
+
+import numpy as np
 import pytest
+from conftest import random_scattered_pattern, reference_canonical_order
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -86,6 +90,15 @@ def test_pattern_accepts_non_contiguous_classes():
     assert p.same_class(1, 3)
 
 
+@pytest.mark.parametrize("bad", [0, 4])
+def test_same_class_rejects_an_index_outside_the_pattern(bad):
+    # the class table has a slot 0 and a last slot, neither of which is an index
+    p = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
+    for i, j in [(bad, 1), (1, bad)]:
+        with pytest.raises(ValueError, match="outside 1..3"):
+            p.same_class(i, j)
+
+
 # canonical block order
 
 def test_oriented_pair():
@@ -105,6 +118,27 @@ def test_canonical_order_n3_golden():
         (2, 3),
     )
     assert canonical_order(pat(1, 1, 1)) == ((3, 1), (2, 3), (1, 2))
+
+
+def test_canonical_order_matches_the_reference_on_every_small_pattern():
+    # every ordered multiplicity list of n <= 8: one per set of cut points in 1..n-1
+    compositions = 0
+    for n, k in itertools.product(range(1, 9), range(8)):
+        for cuts in itertools.combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            p = pat(*(b - a for a, b in zip(bounds, bounds[1:])))
+            assert canonical_order(p) == reference_canonical_order(p), p
+            compositions += 1
+    assert compositions == 2**8 - 1
+
+
+def test_canonical_order_matches_the_reference_on_scattered_patterns():
+    rng = np.random.default_rng(17)
+    patterns = [DegeneracyPattern.singletons(256)] + [
+        random_scattered_pattern(int(n), rng) for n in [256, *rng.integers(2, 257, size=39)]
+    ]
+    for p in patterns:
+        assert canonical_order(p) == reference_canonical_order(p), p.classes
 
 
 @given(mult_lists)
