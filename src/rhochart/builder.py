@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .numerics import _json
+from .numerics import _built, _json
 from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
 from .words import phase_column, rotate_columns
 
@@ -87,15 +87,17 @@ class DensityChart:
     @classmethod
     def from_json(cls, obj: dict) -> "DensityChart":
         obj = _json(obj, "input", dict)
-        pattern = DegeneracyPattern.from_multiplicities(_json(obj.get("pattern"), "pattern", [int]))
+        mults = _json(obj.get("pattern"), "pattern", [int])
+        pattern = _built("pattern", DegeneracyPattern.from_multiplicities, mults)
         angles = tuple(_json(obj.get("eigen_angles"), "eigen_angles", [float]))
+        eigen = _built("eigen_angles", EigenChart, pattern, angles)
         params = []
         for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):
             at = f"unitary_params[{pos}]"
             block = tuple(_json(e.get("block"), f"{at}.block", (int, int)))
             delta, theta = (_json(e.get(k), f"{at}.{k}", float) for k in ("delta", "theta"))
-            params.append(BlockParam(block, delta, theta))
-        return cls(pattern, EigenChart(pattern, angles), tuple(params))
+            params.append(_built(at, BlockParam, block, delta, theta))
+        return _built("unitary_params", cls, pattern, eigen, tuple(params))
 
 
 @dataclass(frozen=True)

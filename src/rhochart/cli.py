@@ -66,20 +66,6 @@ def _check_dim(n: int):
         raise ValueError(f"dimension {n} exceeds the limit of {MAX_DIM}")
 
 
-def _pattern_from_args(args) -> degeneracy.DegeneracyPattern:
-    if not args.pattern:
-        raise ValueError("--pattern is required")
-    try:
-        mults = [int(part) for part in args.pattern.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed pattern string: {args.pattern!r}") from None
-    _check_dim(sum(mults))  # before the classes of "--pattern 1000000000" fill memory
-    pattern = degeneracy.DegeneracyPattern.from_multiplicities(mults)
-    if args.n is not None and args.n != pattern.n:
-        raise ValueError(f"--n {args.n} inconsistent with pattern of size {pattern.n}")
-    return pattern
-
-
 def _rng_from_args(args) -> np.random.Generator:
     if args.seed is None:
         raise ValueError("--seed is required for randomized actions")
@@ -87,24 +73,21 @@ def _rng_from_args(args) -> np.random.Generator:
 
 
 def cmd_count(args):
-    pattern = _pattern_from_args(args)
-    _emit(
-        args,
-        {
-            "n": pattern.n,
-            "pattern": list(pattern.multiplicities),
-            "degrees_of_degeneracy": degeneracy.degrees_of_degeneracy(pattern),
-            "redundant_params": degeneracy.redundant_params(pattern),
-            "internal_params": degeneracy.internal_params(pattern),
-            "orbit_dim": degeneracy.orbit_dim(pattern),
-            "chart_param_count": pattern.n**2,
-        },
-    )
-    return EXIT_OK
+    pattern = args.pattern
+    payload = {
+        "n": pattern.n,
+        "pattern": list(pattern.multiplicities),
+        "degrees_of_degeneracy": degeneracy.degrees_of_degeneracy(pattern),
+        "redundant_params": degeneracy.redundant_params(pattern),
+        "internal_params": degeneracy.internal_params(pattern),
+        "orbit_dim": degeneracy.orbit_dim(pattern),
+        "chart_param_count": pattern.n**2,
+    }
+    return payload, EXIT_OK
 
 
 def cmd_build(args):
-    pattern = _pattern_from_args(args)
+    pattern = args.pattern
     if args.random:
         if args.infile:
             raise ValueError("--in cannot be combined with --random, which reads no chart")
@@ -116,7 +99,7 @@ def cmd_build(args):
         obj = {"pattern": mults, **numerics._json(_read_json(args), "input", dict)}
         # compared before any pattern is built: "pattern": [1000000] would take minutes
         if numerics._json(obj["pattern"], "pattern", list) != mults:
-            raise ValueError(f"pattern: differs from --pattern {args.pattern}")
+            raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
         chart = builder.DensityChart.from_json(obj)
     rho = builder.build_density(chart)
     report = builder.validate_density(rho, tol=args.tol)
@@ -125,8 +108,7 @@ def cmd_build(args):
         "matrix": numerics.matrix_to_json(rho),
         "validation": report.to_json(),
     }
-    _emit(args, payload)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return payload, EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_rewrite(args):
@@ -134,32 +116,39 @@ def cmd_rewrite(args):
     _check_dim(word.n)
     rewritten = words.normalize(word, words.WordForm(args.to))
     diff = numerics.max_abs_diff(words.evaluate(word), words.evaluate(rewritten))
-    _emit(args, {"word": words.word_to_json(rewritten), "max_abs_diff": diff})
-    return EXIT_OK
+    return {"word": words.word_to_json(rewritten), "max_abs_diff": diff}, EXIT_OK
 
 
 def cmd_decompose(args):
     matrix = numerics.matrix_from_json(_read_json(args))
     result = decompose_matrix(matrix, tol=args.tol)
-    _emit(args, {"word": words.word_to_json(result.word), "residual": result.residual})
-    return EXIT_OK
+    return {"word": words.word_to_json(result.word), "residual": result.residual}, EXIT_OK
 
 
 def cmd_verify(args):
     matrix = numerics.matrix_from_json(_read_json(args))
     report = builder.validate_density(matrix, tol=args.tol)
-    _emit(args, report.to_json())
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return report.to_json(), EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_commutant(args):
     if not args.random:
         raise ValueError("commutant only samples; it needs --random and --seed")
-    pattern = _pattern_from_args(args)
-    rng = _rng_from_args(args)
-    spec = builder.random_commutant_spec(pattern, rng)
-    _emit(args, numerics.matrix_to_json(builder.build_commutant(spec)))
-    return EXIT_OK
+    spec = builder.random_commutant_spec(args.pattern, _rng_from_args(args))
+    return numerics.matrix_to_json(builder.build_commutant(spec)), EXIT_OK
+
+
+def _pattern(text: str) -> degeneracy.DegeneracyPattern:
+    """``--pattern`` value: a multiplicity list such as ``2,1,1``, of size at most MAX_DIM."""
+    try:
+        mults = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed pattern string: {text!r}") from None
+    try:
+        _check_dim(sum(mults))  # before the classes of "--pattern 1000000000" fill memory
+        return degeneracy.DegeneracyPattern.from_multiplicities(mults)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tolerance(text: str) -> float:
@@ -175,8 +164,7 @@ def _tolerance(text: str) -> float:
 
 #: every option, in help order; a subcommand registers only the ones its command reads
 _OPTIONS = {
-    "--n": dict(type=int, default=None, help="matrix dimension (cross-check)"),
-    "--pattern": dict(help="multiplicity list, e.g. 2,1,1"),
+    "--pattern": dict(type=_pattern, required=True, help="multiplicity list, e.g. 2,1,1"),
     "--seed": dict(type=int, default=None, help="seed for randomized actions"),
     "--tol": dict(type=_tolerance, default=numerics.DEFAULT_TOL, help="positive tolerance"),
     "--to": dict(choices=["opor", "km"], required=True),
@@ -190,13 +178,13 @@ _SUBCOMMANDS = (
         "count",
         cmd_count,
         "parameter counts for a degeneracy pattern",
-        ("--n", "--pattern", "--out"),
+        ("--pattern", "--out"),
     ),
     (
         "build",
         cmd_build,
         "build a density matrix from a chart",
-        ("--n", "--pattern", "--seed", "--tol", "--in", "--out", "--random"),
+        ("--pattern", "--seed", "--tol", "--in", "--out", "--random"),
     ),
     ("rewrite", cmd_rewrite, "normalize a word to a target form", ("--to", "--in", "--out")),
     (
@@ -210,7 +198,7 @@ _SUBCOMMANDS = (
         "commutant",
         cmd_commutant,
         "sample a commutant of a pattern",
-        ("--n", "--pattern", "--seed", "--out", "--random"),
+        ("--pattern", "--seed", "--out", "--random"),
     ),
 )
 
@@ -232,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(args, payload)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_USAGE)

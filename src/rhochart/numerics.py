@@ -86,6 +86,14 @@ def _json(value, path: str, kind):
     raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
 
 
+def _built(path: str, make, *args):
+    """``make(*args)``, a ``ValueError`` prefixed with the JSON ``path`` its arguments came from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     obj = _json(obj, "input", dict)
     n, entries = _json(obj.get("dim"), "dim", int), _json(obj.get("entries"), "entries", list)

@@ -216,6 +216,11 @@ def test_density_chart_json_round_trip():
     assert DensityChart.from_json(chart.to_json()) == chart
 
 
+def test_density_chart_from_json_names_the_field_a_value_type_rejects():
+    with pytest.raises(ValueError, match=r"^pattern: multiplicities must be positive$"):
+        DensityChart.from_json({"pattern": [0], "eigen_angles": [], "unitary_params": []})
+
+
 def test_density_chart_json_rejects_non_contiguous_classes():
     # the JSON stores multiplicities, which would read back as classes ((1, 2), (3,))
     pattern = DegeneracyPattern(n=3, classes=((1, 3), (2,)))

@@ -27,7 +27,7 @@ def run_json(capsys, argv):
 
 
 def test_count_golden(capsys):
-    obj = run_json(capsys, ["count", "--n", "4", "--pattern", "2,1,1"])
+    obj = run_json(capsys, ["count", "--pattern", "2,1,1"])
     assert obj["internal_params"] == 7
     assert obj["degrees_of_degeneracy"] == 1
     obj = run_json(capsys, ["count", "--pattern", "3,1"])
@@ -40,8 +40,36 @@ def test_count_golden(capsys):
 def test_count_malformed_pattern_exit_2(capsys):
     code, out, err = run(capsys, ["count", "--pattern", "2,x"])
     assert code == 2
+    # --n is no option: n is the sum of the multiplicities
     code, out, err = run(capsys, ["count", "--n", "5", "--pattern", "2,1"])
     assert code == 2
+
+
+#: the rest of a valid request of each command that reads --pattern
+PATTERN_COMMANDS = {
+    "count": [],
+    "build": ["--random", "--seed", "1"],
+    "commutant": ["--random", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "pattern, reason",
+    [
+        ("2,x", "malformed pattern string: '2,x'"),
+        ("0", "multiplicities must be positive"),
+        ("1,0", "multiplicities must be positive"),
+        ("", "malformed pattern string: ''"),
+        (None, "the following arguments are required: --pattern"),
+    ],
+    ids=["letter", "zero", "trailing-zero", "empty", "missing"],
+)
+@pytest.mark.parametrize("command", sorted(PATTERN_COMMANDS))
+def test_pattern_option_errors_exit_2(capsys, command, pattern, reason):
+    option = [] if pattern is None else ["--pattern", pattern]
+    code, out, err = run(capsys, [command, *option, *PATTERN_COMMANDS[command]])
+    assert_one_line_usage_error(code, err)
+    assert err.strip().endswith(reason) and out == ""
 
 
 def test_build_from_params_file(capsys, tmp_path):
@@ -191,6 +219,40 @@ def assert_one_line_usage_error(code, err):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+#: per subcommand, one valid request and one that exits 2; file names are read from tmp_path
+WRITER_REQUESTS = {
+    "count": (["--pattern", "2,1,1"], ["--pattern", "2,x"]),
+    "build": (["--pattern", "2,1", "--random", "--seed", "3"], ["--pattern", "2,1", "--random"]),
+    "rewrite": (["--to", "km", "--in", "word.json"], ["--to", "km", "--in", "bad.json"]),
+    "decompose": (["--in", "unitary.json"], ["--in", "bad.json"]),
+    "verify": (["--in", "rho.json"], ["--in", "bad.json"]),
+    "commutant": (["--pattern", "2,1", "--random", "--seed", "3"], ["--pattern", "2,1", "--seed", "3"]),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITER_REQUESTS))
+def test_out_file_holds_stdout_bytes_and_a_rejected_request_writes_nothing(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "word.json": {"n": 2, "atoms": [{"phase": {"1": 0.3}}, {"rot": [1, 2], "theta": 0.4}]},
+        "unitary.json": rc.matrix_to_json(rc.haar_unitary(3, np.random.default_rng(5))),
+        "rho.json": rc.matrix_to_json(np.eye(3) / 3),
+        "bad.json": {"dim": 2},
+    }
+    for name, obj in inputs.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    valid, rejected = WRITER_REQUESTS[command]
+    code, stdout, err = run(capsys, [command, *valid])
+    assert code == 0 and err == "" and stdout
+    code, out, err = run(capsys, [command, *valid, "--out", "out.json"])
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / "out.json").read_bytes() == stdout.encode()
+
+    code, out, err = run(capsys, [command, *rejected, "--out", "rejected.json"])
+    assert_one_line_usage_error(code, err)
+    assert out == "" and not (tmp_path / "rejected.json").exists()
+
+
 def test_commutant_needs_random(capsys):
     code, out, err = run(capsys, ["commutant", "--pattern", "2,1", "--seed", "1"])
     assert_one_line_usage_error(code, err)
@@ -326,6 +388,19 @@ MALFORMED_JSON = [
     (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"0": 0.1}}]}, "atoms[0].phase.0"),
     (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"3": 0.1}}]}, "atoms[0].phase.3"),
     (["rewrite", "--to", "km"], {"n": 0, "atoms": [{"rot": [1, 2], "theta": 0.1}]}, "n"),
+    # a value its type refuses names the field it was read from
+    (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [3.0]}, "eigen_angles"),
+    (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [0.3, 0.2]}, "eigen_angles"),
+    (
+        ["build", "--pattern", "2,1"],
+        {**CHART_21, "unitary_params": [{"block": [3, 1], "delta": 7.0, "theta": 0.2}, CHART_21["unitary_params"][1]]},
+        "unitary_params[0]",
+    ),
+    (
+        ["build", "--pattern", "2,1"],
+        {**CHART_21, "unitary_params": [{"block": [1, 3], "delta": 0.5, "theta": 0.2}, CHART_21["unitary_params"][1]]},
+        "unitary_params",
+    ),
 ]
 
 
@@ -364,9 +439,12 @@ def test_rewrite_rejects_dimension_above_cap(capsys, tmp_path):
 
 @pytest.mark.parametrize("pattern", [",".join(["1"] * (MAX_DIM + 1)), str(10**9)])
 def test_build_rejects_pattern_above_cap(capsys, pattern):
-    code, out, err = run(capsys, ["build", "--pattern", pattern, "--random", "--seed", "1"])
-    assert_one_line_usage_error(code, err)
-    assert str(MAX_DIM) in err and out == ""
+    # every command that reads --pattern, not build alone
+    for command, rest in PATTERN_COMMANDS.items():
+        code, out, err = run(capsys, [command, "--pattern", pattern, *rest])
+        assert_one_line_usage_error(code, err)
+        assert err.startswith("error: argument --pattern: dimension ")
+        assert str(MAX_DIM) in err and out == ""
 
 
 def test_missing_required_option_exit_2_without_usage_line(capsys, tmp_path):
