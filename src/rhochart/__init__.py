@@ -42,7 +42,6 @@ from .numerics import (
 from .words import (
     PhaseAtom,
     RotationAtom,
-    UnreachableFormError,
     Word,
     WordForm,
     count_phases,

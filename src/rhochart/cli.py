@@ -4,8 +4,7 @@ Subcommands: count, build, rewrite, decompose, verify, commutant; each
 accepts only the options its command reads.  Input is read from --in
 (default stdin), output written to --out (default stdout).
 Randomized actions require an explicit --seed and are fully deterministic
-given one.  Exit codes: 0 ok, 2 usage error, 3 validation failure,
-4 rewrite target unreachable.
+given one.  Exit codes: 0 ok, 2 usage error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ from .decompose import decompose as decompose_matrix
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
-EXIT_UNREACHABLE = 4
-
-#: exit code of a rejected request, by error type; any other ValueError or OSError is a usage error
-_EXIT_CODES = {NotUnitaryError: EXIT_VALIDATION, words.UnreachableFormError: EXIT_UNREACHABLE}
 
 #: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
 MAX_DIM = 256
@@ -69,6 +64,8 @@ def _check_dim(n: int):
 def _rng_from_args(args) -> np.random.Generator:
     if args.seed is None:
         raise ValueError("--seed is required for randomized actions")
+    if args.seed < 0:
+        raise ValueError(f"argument --seed: must be a non-negative integer, got {args.seed}")
     return np.random.default_rng(args.seed)
 
 
@@ -225,7 +222,8 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
+        # a matrix that is not unitary fails validation; any other rejection is a usage error
+        return EXIT_VALIDATION if isinstance(exc, NotUnitaryError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

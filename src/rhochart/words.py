@@ -17,7 +17,7 @@ All three are one product of phase-dressed rotations; they differ only in
 where each block's phase is written.  The common intermediate is the block
 form: ``(label, delta, theta)`` blocks, ``label`` the oriented pair (a, b)
 whose index a carries the phase, plus n trailing phases.  :func:`_sweep`
-brings a unique-pair word into it; :func:`opor_word` renders it as P_a R,
+brings any word into it; :func:`opor_word` renders it as P_a R,
 :func:`_phase_adjoint_word` as P_a R P_a^dagger, and km reads each block's
 conjugation phase, the a - b difference of the running block-phase sum.
 
@@ -63,10 +63,6 @@ def _wrap(angle: float, mag: float) -> float:
     wrapped = angle % TWO_PI
     band = _WRAP_ULPS * math.ulp(max(mag, TWO_PI))
     return 0.0 if wrapped < band or TWO_PI - wrapped < band else wrapped
-
-
-class UnreachableFormError(ValueError):
-    """Raised when a word cannot be rewritten into the requested form."""
 
 
 class FormError(ValueError):
@@ -322,14 +318,6 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
 # normal forms
 
 
-def _check_unique_pairs(w: Word):
-    pairs = w.rotation_pairs()
-    if len(pairs) != len(set(pairs)):
-        raise UnreachableFormError(
-            "word repeats a rotation pair; only evaluation is supported for such words"
-        )
-
-
 def _reduce_angle(rot: RotationAtom) -> tuple[Atom, Atom, Atom]:
     """R(theta) as F_left R(theta') F_right, with theta' in [0, pi/2] and the
     flips F phases of pi on the rotation's rows that absorb the signs."""
@@ -436,14 +424,10 @@ def _normalize_km(w: Word) -> Word:
 
 
 def normalize(w: Word, target: WordForm) -> Word:
-    """Rewrite ``w`` into the target form with identical evaluation.
-
-    Requires each rotation pair to occur at most once; rotation order is
-    kept as given, never silently reordered.
-    """
+    """Rewrite ``w`` into the target form with identical evaluation; rotation
+    order is kept as given, never silently reordered."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
-    _check_unique_pairs(w)
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
         return opor_word(w.n, *_sweep(w))
     if target is WordForm.PHASE_ADJOINT:

@@ -374,6 +374,38 @@ def test_jacobian_rank_golden_cases():
     assert jacobian_rank(chart) == 10 == orbit_dim(pat(2, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: DensityChart(
+                pattern=pat(2, 1), eigen=EigenChart(pattern=pat(1, 2), angles=(0.3,)), unitary_params=()
+            ),
+            "eigen chart pattern differs from the density pattern",
+        ),
+        (
+            lambda: CommutantSpec(
+                pattern=pat(2, 1), block_params=(BlockParam((1, 2), 0.1, 0.2),), phases=(0.0, 0.0)
+            ),
+            "expected 3 diagonal phases",
+        ),
+        (
+            lambda: jacobian_rank(chart_21(1e-7, 0.4, 0.5, 0.6, 0.7)),
+            r"block \(3, 1\): delta 1e-07 is not interior",
+        ),
+        (
+            lambda: jacobian_rank(chart_21(0.3, 0.4, TWO_PI - 1e-7, 0.6, 0.7)),
+            r"block \(2, 3\): delta 6\.28\d* is not interior",
+        ),
+        (lambda: jacobian_rank(chart_21(0.3, 0.4, 0.5, 0.6, 0.0)), "eigen angle 0.0 is not interior"),
+    ],
+    ids=["eigen-pattern", "commutant-phases", "delta-near-0", "delta-near-2pi", "eigen-angle-0"],
+)
+def test_chart_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_jacobian_rank_with_eigen_directions():
     rng = np.random.default_rng(12)
     for mults in [(1, 1, 1), (2, 1), (2, 2)]:

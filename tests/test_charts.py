@@ -76,6 +76,16 @@ def test_fit_chart_rejections():
         fit_chart([0.5, 0.3, 0.2], pat(2, 1))
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [([0.5, 0.5], "expected 3 values, got 2"), ([0.25] * 4, "expected 3 values, got 4")],
+    ids=["too-few", "too-many"],
+)
+def test_fit_chart_errors_name_the_fault(values, message):
+    with pytest.raises(ValueError, match=message):
+        fit_chart(values, pat(2, 1))
+
+
 angles_strategy = st.floats(min_value=0.0, max_value=HALF_PI, allow_nan=False)
 
 

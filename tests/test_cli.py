@@ -154,15 +154,15 @@ def test_rewrite_empty_word(capsys, tmp_path):
     assert obj["max_abs_diff"] == 0.0
 
 
-def test_rewrite_unreachable_exit_4(capsys, tmp_path):
+def test_rewrite_repeated_pair_exit_0(capsys, tmp_path):
     word = {
         "n": 2,
         "atoms": [{"rot": [1, 2], "theta": 0.3}, {"rot": [1, 2], "theta": 0.4}],
     }
     path = tmp_path / "word.json"
     path.write_text(json.dumps(word))
-    code, out, err = run(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
-    assert code == 4
+    obj = run_json(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
+    assert obj["max_abs_diff"] < 1e-15
 
 
 def test_decompose_round_trip(capsys, tmp_path):
@@ -286,6 +286,26 @@ def test_bad_tol_exit_2(capsys, tmp_path, tol):
         code, out, err = run(capsys, argv + ["--tol", tol])
         assert_one_line_usage_error(code, err)
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["build", "--pattern", "2,1", "--random", "--seed", "-1"],
+            "error: argument --seed: must be a non-negative integer, got -1",
+        ),
+        (
+            ["commutant", "--pattern", "2,1", "--random", "--seed", "-5"],
+            "error: argument --seed: must be a non-negative integer, got -5",
+        ),
+        (["verify", "--tol", "abc"], "error: argument --tol: must be positive and finite, got 'abc'"),
+    ],
+    ids=["build-seed", "commutant-seed", "tol-not-a-number"],
+)
+def test_bad_option_value_exit_2_names_the_option(capsys, argv, line):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.splitlines()) == (2, "", [line])
 
 
 @pytest.mark.parametrize(
@@ -576,6 +596,6 @@ def test_cli_exit_contract_under_malformed_json(case):
             fh.write(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--in", path])
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines

@@ -84,6 +84,22 @@ def test_pattern_validation():
         DegeneracyPattern.from_multiplicities([0, 3])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DegeneracyPattern(n=0, classes=()), "n must be >= 1"),
+        (lambda: DegeneracyPattern(n=2, classes=((1, 2), ())), "empty class"),
+        (lambda: DegeneracyPattern(n=2, classes=((1, 3),)), r"index 3 outside 1\.\.2"),
+        (lambda: DegeneracyPattern(n=2, classes=((0, 1, 2),)), r"index 0 outside 1\.\.2"),
+        (lambda: oriented_pair(2, 2, 3), r"need 1 <= i < j <= n, got \(2, 2\) for n=3"),
+    ],
+    ids=["n-zero", "empty-class", "index-above-n", "index-zero", "pair-not-increasing"],
+)
+def test_pattern_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pattern_accepts_non_contiguous_classes():
     p = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
     assert p.multiplicities == (2, 1)

@@ -75,3 +75,21 @@ def test_json_rejects_bad_input():
         numerics.matrix_from_json({"dim": 2, "entries": [[np.nan, 0], [0, 0], [0, 0], [1, 0]]})
     with pytest.raises(ValueError):
         numerics.as_matrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: numerics.as_matrix([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+        (lambda: numerics.as_matrix([[1.0, 0.0], [0.0, np.inf]]), "matrix entries must be finite"),
+        (lambda: numerics.as_matrix([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), "must be finite"),
+        (
+            lambda: numerics.max_abs_diff(np.eye(2), np.eye(3)),
+            r"dimension mismatch: \(2, 2\) vs \(3, 3\)",
+        ),
+    ],
+    ids=["nan", "inf", "imaginary-inf", "shapes"],
+)
+def test_matrix_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

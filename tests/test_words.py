@@ -20,7 +20,6 @@ from rhochart.words import (
     FormError,
     PhaseAtom,
     RotationAtom,
-    UnreachableFormError,
     Word,
     WordForm,
     classify_form,
@@ -363,12 +362,12 @@ def test_normalize_empty_word():
     assert normalize(w, WordForm.KM) == w
 
 
-def test_normalize_rejects_repeated_pairs():
+def test_normalize_rewrites_repeated_pairs():
     w = Word(n=2, atoms=(RotationAtom(1, 2, 0.3), RotationAtom(1, 2, 0.4)))
-    with pytest.raises(UnreachableFormError):
-        normalize(w, OPOR)
-    with pytest.raises(UnreachableFormError):
-        normalize(w, WordForm.KM)
+    for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM):
+        out = normalize(w, form)
+        assert classify_form(out) is form
+        assert max_abs_diff(evaluate(out), evaluate(w)) < 1e-15
 
 
 def test_normalize_km_internal_phase_counts():
@@ -435,6 +434,17 @@ def test_normal_forms_at_the_edges(w):
         assert classify_form(out) is form
     assert normalize(opor, OPOR) == opor
     assert range_reduce(reduced) == reduced
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_words())
+def test_normal_forms_of_words_that_repeat_pairs(w):
+    u = evaluate(w)
+    for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM):
+        out = normalize(w, form)
+        assert max_abs_diff(evaluate(out), u) < 1e-12
+        if w.rotation_pairs():
+            assert classify_form(out) is form
 
 
 # range reduction
@@ -578,9 +588,7 @@ def _counts_or_error(count, w):
 @settings(max_examples=500, deadline=None)
 @given(form_words())
 def test_form_parse_matches_atom_walking_reference(w):
-    words = [w]
-    if len(set(w.rotation_pairs())) == len(w.rotation_pairs()):
-        words += [normalize(w, form) for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM)]
+    words = [w] + [normalize(w, form) for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM)]
     for v in words:
         assert classify_form(v) is reference_classify_form(v)
         assert _counts_or_error(count_phases, v) == _counts_or_error(reference_count_phases, v)
@@ -627,6 +635,42 @@ def test_atom_validation():
 def test_atom_indices_must_be_integers(make):
     with pytest.raises(ValueError, match=r"True|2\.0"):
         make()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PhaseAtom({1: math.nan}), ValueError, "phase angles must be finite"),
+        (lambda: Word(n=2, atoms=(PhaseAtom({3: 0.1}),)), ValueError, "exceeds dimension 2"),
+        (lambda: Word(n=2, atoms=((1, 2, 0.3),)), TypeError, r"not an atom: \(1, 2, 0\.3\)"),
+        (
+            lambda: normalize(Word(n=2, atoms=(RotationAtom(1, 2, 0.3),)), "km"),
+            ValueError,
+            "unknown target form 'km'",
+        ),
+    ],
+    ids=["phase-nan", "phase-above-n", "not-an-atom", "target-not-a-form"],
+)
+def test_word_errors_name_the_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_range_reduce_of_the_empty_word_is_itself():
+    w = Word(n=3, atoms=())
+    assert range_reduce(w) == w
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [({1: 0.3, 2: 0.2}, {1: -0.3}), ({1: 0.3}, {1: -0.3, 2: 0.2})],
+    ids=["left", "right"],
+)
+def test_conjugating_phase_on_two_indices_is_not_phase_adjoint(left, right):
+    # P R P^dagger with one side on both rows: not a single-index conjugation
+    w = Word(n=2, atoms=(PhaseAtom(left), RotationAtom(1, 2, 0.4), PhaseAtom(right), PhaseAtom({1: 0.1, 2: 0.2})))
+    assert classify_form(w) is WordForm.GENERAL
+    assert reference_classify_form(w) is WordForm.GENERAL
 
 
 @pytest.mark.parametrize("n", [2.5, True, "2", 0])
