@@ -377,43 +377,31 @@ def _normalize_km(w: Word) -> Word:
     single index only.  A rotation whose pair links two index groups not yet
     tied together can have its conjugation phase absorbed into the left outer
     diagonal (the groups' relative offset is still free); once a pair closes
-    a cycle the offset is pinned and one inner phase remains.  A weighted
-    union-find tracks the pinned offsets, so a full chart keeps exactly
-    (n-1)(n-2)/2 inner phases.
+    a cycle the offset is pinned and one inner phase remains.  A merge shifts
+    one group's left outer diagonal and relabels the group, so a full chart
+    keeps exactly (n-1)(n-2)/2 inner phases.
     """
     n = w.n
     dressed, q = _conjugated(n, *_sweep(w))
-
-    parent = list(range(n))
-    pot = [0.0] * n  # offset of the left outer diagonal relative to the root
-
-    def find(x: int) -> tuple[int, float]:
-        acc = 0.0
-        while parent[x] != x:
-            acc += pot[x]
-            x = parent[x]
-        return x, acc
-
+    comp = list(range(n))  # group label of each index
+    left = [0.0] * n  # the left outer diagonal
     off = [0.0] * n  # inner-phase increments applied so far
     rotations = []  # (rotation, wrapped inner phase on its index i or None)
     for (a, b), psi, theta in dressed:
         i, j = min(a, b), max(a, b)
-        if a != i:
-            psi = -psi  # the union-find works on the i - j difference
-        ri, pi = find(i - 1)
-        rj, pj = find(j - 1)
+        psi = psi if a == i else -psi  # the groups work on the i - j difference
+        li, lj = left[i - 1], left[j - 1]
         inner = None
-        if ri != rj:
-            parent[ri] = rj
-            pot[ri] = psi - off[i - 1] + off[j - 1] - pi + pj
+        if comp[i - 1] != comp[j - 1]:
+            shift = psi - off[i - 1] + off[j - 1] - li + lj
+            for x in [x for x in range(n) if comp[x] == comp[i - 1]]:
+                left[x], comp[x] = left[x] + shift, comp[j - 1]
         else:
-            inc = psi - ((pi + off[i - 1]) - (pj + off[j - 1]))
-            inner = _wrap(inc, abs(psi) + abs(pi) + abs(off[i - 1]) + abs(pj) + abs(off[j - 1]))
+            inc = psi - ((li + off[i - 1]) - (lj + off[j - 1]))
+            inner = _wrap(inc, abs(psi) + abs(li) + abs(off[i - 1]) + abs(lj) + abs(off[j - 1]))
             off[i - 1] += inc
         rotations.append((RotationAtom(i, j, theta), inner))
-
-    left = [find(x)[1] for x in range(n)]
-    atoms: list[Atom] = [_diagonal(_wrap(x, abs(x)) for x in left)]
+    atoms: list[Atom] = [_diagonal(_wrap(x, abs(x)) for x in left)] if rotations else []
     for rot, inner in rotations:
         if inner:
             atoms.append(PhaseAtom({rot.i: inner}))
@@ -425,7 +413,10 @@ def _normalize_km(w: Word) -> Word:
 
 def normalize(w: Word, target: WordForm) -> Word:
     """Rewrite ``w`` into the target form with identical evaluation; rotation
-    order is kept as given, never silently reordered."""
+    order is kept as given, never silently reordered.  A nonempty word with no
+    rotation becomes one diagonal in every normal form.  km reached directly
+    and through the phase-adjoint form has the same rotations and phase keys,
+    its phases equal within 1e-14 mod 2*pi."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
@@ -438,13 +429,11 @@ def normalize(w: Word, target: WordForm) -> Word:
 
 
 def range_reduce(w: Word) -> Word:
-    """Fold a one phase-one rotation word into canonical parameter ranges.
+    """Rewrite any word into one phase-one rotation form with canonical ranges.
 
     Angles land in [0, pi/2] and phases in [0, 2*pi); sign flips are absorbed
     by neighbouring phases, so the evaluation is unchanged.  Idempotent.
     """
-    if classify_form(w) is not WordForm.ONE_PHASE_ONE_ROTATION and w.atoms:
-        raise FormError("range_reduce expects a one phase-one rotation word")
     if not w.atoms:
         return w
     flipped = [_reduce_angle(a) if isinstance(a, RotationAtom) else (a,) for a in w.atoms]

@@ -9,6 +9,7 @@ from rhochart.charts import EigenChart, class_masses, spread
 from rhochart.degeneracy import DegeneracyPattern, oriented_pair
 from rhochart.numerics import adjoint
 from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
+from rhochart.words import _conjugated, _diagonal, _sweep
 from rhochart.words import phase_column, rotate_columns
 
 TWO_PI = 2.0 * np.pi
@@ -274,6 +275,25 @@ def random_word(n, rng, max_atoms=20, unique_pairs=True) -> Word:
     return Word(n=n, atoms=tuple(atoms))
 
 
+EDGE_ANGLES = (0.0, math.pi / 2, math.pi, -math.pi / 2)
+
+
+def at_edges(w, rng) -> Word:
+    """``w`` with about half of its angles, phases and thetas alike, moved to
+    0, pi/2, pi or -pi/2."""
+
+    def move(v):
+        return float(rng.choice(EDGE_ANGLES)) if rng.random() < 0.5 else v
+
+    atoms = [
+        RotationAtom(a.i, a.j, move(a.theta))
+        if isinstance(a, RotationAtom)
+        else PhaseAtom({k: move(v) for k, v in a.deltas.items()})
+        for a in w.atoms
+    ]
+    return Word(n=w.n, atoms=tuple(atoms))
+
+
 def diagonal_pair_sequence(n):
     """All pairs swept superdiagonal by superdiagonal: (1,2), (2,3), ..., (1,n)."""
     out = []
@@ -324,6 +344,53 @@ def reference_canonical_order(p: DegeneracyPattern):
     inter.sort(reverse=True)
     intra.sort(reverse=True)
     return tuple(inter + intra)
+
+
+def reference_normalize_km(w: Word) -> Word:
+    """Reference for km ``normalize``: the earlier body, which tracks index
+    groups with a weighted union-find (parent links, one potential per root,
+    and a path sum per lookup) where the library relabels a merged group.
+    It emits the left outer diagonal even for a word with no rotation."""
+    n = w.n
+    dressed, q = _conjugated(n, *_sweep(w))
+
+    parent = list(range(n))
+    pot = [0.0] * n  # offset of the left outer diagonal relative to the root
+
+    def find(x):
+        acc = 0.0
+        while parent[x] != x:
+            acc += pot[x]
+            x = parent[x]
+        return x, acc
+
+    off = [0.0] * n  # inner-phase increments applied so far
+    rotations = []  # (rotation, wrapped inner phase on its index i or None)
+    for (a, b), psi, theta in dressed:
+        i, j = min(a, b), max(a, b)
+        if a != i:
+            psi = -psi  # the union-find works on the i - j difference
+        ri, pi = find(i - 1)
+        rj, pj = find(j - 1)
+        inner = None
+        if ri != rj:
+            parent[ri] = rj
+            pot[ri] = psi - off[i - 1] + off[j - 1] - pi + pj
+        else:
+            inc = psi - ((pi + off[i - 1]) - (pj + off[j - 1]))
+            inner = _wrap(inc, abs(psi) + abs(pi) + abs(off[i - 1]) + abs(pj) + abs(off[j - 1]))
+            off[i - 1] += inc
+        rotations.append((RotationAtom(i, j, theta), inner))
+
+    left = [find(x)[1] for x in range(n)]
+    atoms = [_diagonal(_wrap(x, abs(x)) for x in left)]
+    for rot, inner in rotations:
+        if inner:
+            atoms.append(PhaseAtom({rot.i: inner}))
+        atoms.append(rot)
+    mag = [abs(q[x]) + abs(left[x]) + abs(off[x]) for x in range(n)]
+    atoms.append(_diagonal(_wrap(q[x] - (left[x] + off[x]), mag[x]) for x in range(n)))
+    return Word(n=n, atoms=tuple(atoms))
 
 
 def random_scattered_pattern(n, rng) -> DegeneracyPattern:

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import at_edges, random_word
 from rhochart.decompose import decompose
 from rhochart.numerics import max_abs_diff
 from rhochart.words import (
@@ -114,7 +115,7 @@ def test_every_emitted_phase_is_wrapped(w):
         assert all(any(a.deltas.values()) for a in produced if isinstance(a, PhaseAtom))
         assert max_abs_diff(evaluate(out), u) < 1e-12
     opor = normalize(w, OPOR)
-    for out in (opor, normalize(w, PA), normalize(w, KM), range_reduce(opor)):
+    for out in (opor, normalize(w, PA), normalize(w, KM), range_reduce(opor), range_reduce(w)):
         assert all(wrapped(v) for v in phase_values(out.atoms))
         assert max_abs_diff(evaluate(out), u) < 1e-12
     result = decompose(u)
@@ -145,6 +146,11 @@ def nonzero_support(w):
     return [sorted(k for k, v in a.deltas.items() if v) for a in phases]
 
 
+def circular_gap(x, y):
+    d = abs(x - y) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
 def test_km_and_opor_do_not_depend_on_the_route():
     rng = np.random.default_rng(2026)
     sizes = [int(n) for n in rng.integers(2, 8, size=1500)] + [12, 16] * 5
@@ -158,3 +164,14 @@ def test_km_and_opor_do_not_depend_on_the_route():
             same_opor = nonzero_support(opor) == nonzero_support(opor_via)
             failures += not (structure(km) == structure(km_via) and same_opor)
     assert failures == 0
+    # general words: the two routes sum the same phases in another order, so
+    # km's values may differ by a few ulps of 2*pi, but its structure may not
+    for seed in (7, 8):
+        rng = np.random.default_rng(seed)
+        for k in range(1500):
+            w = at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
+            km, km_via = normalize(w, KM), normalize(normalize(w, PA), KM)
+            assert structure(km) == structure(km_via), w
+            for a, b in zip(km.atoms, km_via.atoms):
+                if isinstance(a, PhaseAtom):
+                    assert all(circular_gap(v, b.deltas[i]) <= 1e-14 for i, v in a.deltas.items()), w

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EDGE_ANGLES,
+    at_edges,
     dense_phase,
     dense_product,
     dense_rotation,
@@ -14,6 +17,7 @@ from conftest import (
     random_word,
     reference_classify_form,
     reference_count_phases,
+    reference_normalize_km,
 )
 from rhochart.numerics import is_unitary, max_abs_diff
 from rhochart.words import (
@@ -57,7 +61,6 @@ def test_full_chart_evaluates_to_unitary():
     assert is_unitary(evaluate(w), 1e-12)
 
 
-EDGE_ANGLES = (0.0, math.pi / 2, math.pi, -math.pi / 2)
 finite_angles = st.one_of(
     st.sampled_from(EDGE_ANGLES),
     st.floats(min_value=-TWO_PI, max_value=TWO_PI, allow_nan=False),
@@ -370,6 +373,55 @@ def test_normalize_rewrites_repeated_pairs():
         assert max_abs_diff(evaluate(out), evaluate(w)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "w",
+    [
+        Word(n=3, atoms=(PhaseAtom({1: 0.3, 2: 0.1}), PhaseAtom({3: 0.2}))),
+        Word(n=2, atoms=(PhaseAtom({1: 0.3, 2: 0.1}),)),
+        Word(n=1, atoms=(PhaseAtom({1: -1.0}), PhaseAtom({1: 7.5}))),
+        Word(n=4, atoms=(PhaseAtom({2: 0.4}), PhaseAtom({}), PhaseAtom({2: -0.4, 4: TWO_PI}))),
+    ],
+    ids=["two-atoms", "one-atom", "n1-wrapping", "cancelling"],
+)
+def test_a_word_without_rotation_normalizes_to_one_diagonal(w):
+    u = evaluate(w)
+    outs = [normalize(w, form) for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM)]
+    for out in outs:
+        assert len(out.atoms) == 1 and sorted(out.atoms[0].deltas) == list(range(1, w.n + 1))
+        assert max_abs_diff(evaluate(out), u) < 1e-15
+        assert count_phases(out) == (0, w.n)
+    assert word_to_json(outs[1]) == word_to_json(outs[0]) == word_to_json(outs[2])
+
+
+def km_corpus():
+    """Seeded words with a rotation: unique and repeated pairs with half their
+    angles at an edge, interleaved words, and opor charts up to n = 64 whose
+    phases carry 2*pi*m offsets."""
+    rng = np.random.default_rng(20)
+    for k in range(600):
+        yield at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
+    for n in range(2, 13):
+        yield random_interleaved_word(n, rng)
+    for n in (8, 16, 32, 48, 64):
+        params = rng.uniform(0.0, TWO_PI, n * n)
+        params[::2] += TWO_PI * rng.integers(-10, 11, params[::2].size)
+        params[rng.random(n * n) < 0.3] = 0.0
+        yield make_opor_chart(n, params)
+
+
+def test_km_matches_the_union_find_reference():
+    checked = 0
+    for w in km_corpus():
+        if not w.rotation_pairs():
+            continue
+        for v in (w, normalize(w, WordForm.PHASE_ADJOINT)):
+            assert json.dumps(word_to_json(normalize(v, WordForm.KM))) == json.dumps(
+                word_to_json(reference_normalize_km(v))
+            )
+        checked += 1
+    assert checked > 550
+
+
 def test_normalize_km_internal_phase_counts():
     rng = np.random.default_rng(9)
     for n in range(3, 7):
@@ -492,10 +544,17 @@ def test_range_reduce_idempotent_and_in_range():
                 assert all(0.0 <= v < TWO_PI for v in atom.deltas.values())
 
 
-def test_range_reduce_requires_opor():
+def test_range_reduce_rewrites_any_word():
     w = Word(n=2, atoms=(RotationAtom(1, 2, 0.3), PhaseAtom({1: 0.1}), PhaseAtom({2: 0.2})))
-    with pytest.raises(FormError):
-        range_reduce(w)
+    out = range_reduce(w)
+    assert classify_form(out) is OPOR
+    for atom in out.atoms:
+        if isinstance(atom, RotationAtom):
+            assert 0.0 <= atom.theta <= math.pi / 2
+        else:
+            assert all(0.0 <= v < TWO_PI for v in atom.deltas.values())
+    assert max_abs_diff(evaluate(out), evaluate(w)) < 1e-12
+    assert range_reduce(out) == out
 
 
 # form recognition and phase counting
