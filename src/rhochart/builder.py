@@ -22,7 +22,7 @@ from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_cha
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
 from .numerics import _built, _json
 from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
-from .words import phase_column, rotate_columns
+from .words import phase_row, rotate_rows
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
@@ -205,16 +205,17 @@ def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
     and entry (k, l) is Y_kl (lambda_l - lambda_k), Y = U^dagger X U: 0 in a class.
     """
     n, p = c.pattern.n, 2 * len(c.unitary_params)
-    w, xy = np.eye(n, dtype=np.complex128), np.empty((2, n, p), dtype=np.complex128)
+    w, xy = np.eye(n, dtype=np.complex128), np.empty((2, p, n), dtype=np.complex128)
+    re = w.view(np.float64)  # w holds W^T: the prefix's columns are its rows
     for col, bp in zip(range(0, p, 2), c.unitary_params):
         a = bp.block[0]
-        phase_column(w, a, bp.delta)
-        xy[:, :, col] = 0.5j * w[:, a - 1], w[:, a - 1]
+        phase_row(w, a, bp.delta)
+        xy[:, col] = 0.5j * w[a - 1], w[a - 1]
         i, j = sorted(bp.block)
-        rotate_columns(w, i, j, bp.theta)
-        xy[:, :, col + 1] = w[:, i - 1], w[:, j - 1]
+        rotate_rows(re, i, j, bp.theta)
+        xy[:, col + 1] = w[i - 1], w[j - 1]
     k, l = np.array([sorted(bp.block) for bp in c.unitary_params], dtype=int).reshape(-1, 2).T - 1
-    (vx, vy), lam = numerics.adjoint(w) @ xy, np.asarray(eigenvalues(c.eigen))
+    (vx, vy), lam = w.conj() @ xy.transpose(0, 2, 1), np.asarray(eigenvalues(c.eigen))
     ykl = np.sqrt(2) * (lam[l] - lam[k])[:, None] * (vx[k] * vy.conj()[l] - vy[k] * vx.conj()[l])
     masses = class_masses(c.eigen)
     jac = np.zeros((p + n * include_eigen, p + (len(masses) - 1) * include_eigen))

@@ -8,8 +8,8 @@ so the residue is diagonal and becomes the trailing phase matrix.  The
 recovered blocks are exactly the chart's, so this is the constructive
 inverse of ``make_opor_chart``.
 
-The elimination is the column kernel of ``words.evaluate`` run on u^dagger:
-left-applying the inverse block R^T P* to t is right-applying P R to t^dagger.
+The elimination is the row kernel of ``words.evaluate`` run on conj(u):
+left-applying the inverse block R^T P* to t is left-applying R^T P to conj(t).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import Word, _wrap, evaluate, opor_word, phase_column, rotate_columns
+from .words import Word, _wrap, evaluate, opor_word, phase_row, rotate_rows
 
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14
@@ -51,11 +51,12 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
     if not numerics.is_unitary(u, tol):
         raise NotUnitaryError(f"input is not unitary within {tol}")
     n = u.shape[0]
-    v = numerics.adjoint(u)  # t = v^dagger is the matrix being reduced
+    v = np.ascontiguousarray(u.conj())  # t = conj(v) is the matrix being reduced
+    re = v.view(np.float64)
     blocks = []
     for a, b in canonical_order(DegeneracyPattern.singletons(n)):
         i, j = min(a, b), max(a, b)
-        tij = v[j - 1, i - 1].conjugate()
+        tij = v[i - 1, j - 1].conjugate()
         tjj = v[j - 1, j - 1].conjugate()
         if abs(tij) < ELIM_EPS:
             delta, theta = 0.0, 0.0
@@ -67,8 +68,8 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
                 x, y = float(np.angle(tij)), float(np.angle(tjj))
                 delta = _wrap(x - y if a == i else y - x, abs(x) + abs(y))
         blocks.append(((a, b), delta, theta))
-        phase_column(v, a, delta)
-        rotate_columns(v, i, j, theta)
+        phase_row(v, a, delta)
+        rotate_rows(re, i, j, theta)
     trailing = [_wrap(-x, abs(x)) for x in (float(np.angle(v[k, k])) for k in range(n))]
     word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))

@@ -2,7 +2,7 @@
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
 Sizes reach n = 256, where an O(n^3) product per atom would dominate, so word
-products run on the in-place column kernel of :mod:`rhochart.words` instead.
+products run on the in-place row kernel of :mod:`rhochart.words` instead.
 Equality is always tolerance-based via :func:`max_abs_diff`.
 """
 

@@ -143,33 +143,38 @@ class Word:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: an in-place column kernel.  Right-multiplying by a rotation
-# mixes columns i and j, by a phase scales one column, so an atom costs O(n)
-# where a dense product costs O(n^3).  ``decompose`` eliminates through it too.
+# evaluation: an in-place row kernel on V = U^T (U <- U A is V <- A^T V).  A
+# rotation mixes two rows of V's float64 view as reals, a phase scales one row:
+# O(n) per atom.  ``decompose`` and the rank oracle run on it too.
 
 
-def rotate_columns(u: np.ndarray, i: int, j: int, theta: float) -> None:
-    """In place ``u <- u @ R``, R the rotation atom (i, j, theta); 1-based i < j."""
+def rotate_rows(re: np.ndarray, i: int, j: int, theta: float) -> None:
+    """In place ``V <- R^T V`` on ``re = V.view(np.float64)``, R the rotation (i, j, theta)."""
     c, s = math.cos(theta), math.sin(theta)
-    col_i, col_j = u[:, i - 1], u[:, j - 1]
-    u[:, i - 1], u[:, j - 1] = c * col_i - s * col_j, s * col_i + c * col_j
+    row_i, row_j = re[i - 1], re[j - 1]
+    s_i, s_j = np.multiply(row_i, s), np.multiply(row_j, s)
+    np.subtract(np.multiply(row_i, c, out=row_i), s_j, out=row_i)
+    np.add(s_i, np.multiply(row_j, c, out=row_j), out=row_j)
 
 
-def phase_column(u: np.ndarray, k: int, delta: float) -> None:
-    """In place ``u <- u @ P``, P the phase exp(i * delta) on 1-based index k."""
-    u[:, k - 1] *= complex(math.cos(delta), math.sin(delta))
+def phase_row(v: np.ndarray, k: int, delta: float) -> None:
+    """In place ``V <- P V``, P the phase exp(i * delta) on 1-based index k."""
+    row = v[k - 1]
+    row *= complex(math.cos(delta), math.sin(delta))
 
 
 def evaluate(w: Word) -> np.ndarray:
-    """Product of the atoms in listed order (identity when empty)."""
-    u = np.eye(w.n, dtype=np.complex128)
+    """Product of the atoms in listed order (identity when empty), C-contiguous; its
+    values are the complex column product's, but an exact zero may carry either sign."""
+    v = np.eye(w.n, dtype=np.complex128)
+    re = v.view(np.float64)
     for atom in w.atoms:
         if isinstance(atom, RotationAtom):
-            rotate_columns(u, atom.i, atom.j, atom.theta)
+            rotate_rows(re, atom.i, atom.j, atom.theta)
         else:
             for k, delta in atom.deltas.items():
-                phase_column(u, k, delta)
-    return u
+                phase_row(v, k, delta)
+    return v.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +436,9 @@ def normalize(w: Word, target: WordForm) -> Word:
 def range_reduce(w: Word) -> Word:
     """Rewrite any word into one phase-one rotation form with canonical ranges.
 
-    Angles land in [0, pi/2] and phases in [0, 2*pi); sign flips are absorbed
-    by neighbouring phases, so the evaluation is unchanged.  Idempotent.
+    Angles land in [0, pi/2] and phases in [0, 2*pi); neighbouring phases absorb
+    sign flips, so the evaluation is unchanged.  Idempotent.  A word and its opor
+    form reduce to the same rotations and phase supports, phases within 3e-14 mod 2*pi.
     """
     if not w.atoms:
         return w

@@ -6,11 +6,11 @@ import numpy as np
 
 from rhochart.builder import BlockParam, DensityChart, build_density
 from rhochart.charts import EigenChart, class_masses, spread
-from rhochart.degeneracy import DegeneracyPattern, oriented_pair
-from rhochart.numerics import adjoint
+from rhochart.decompose import ELIM_EPS, DecompositionResult, NotUnitaryError
+from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
+from rhochart.numerics import adjoint, is_unitary, max_abs_diff
 from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
-from rhochart.words import _conjugated, _diagonal, _sweep
-from rhochart.words import phase_column, rotate_columns
+from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,6 +44,64 @@ def dense_product(word):
         else:
             u = u @ dense_phase(word.n, atom.deltas)
     return u
+
+
+# column-kernel references for the row kernel of ``evaluate`` and ``decompose``:
+# the earlier bodies, which mix strided columns of U with complex products
+
+
+def rotate_columns(u, i, j, theta):
+    """In place ``u <- u @ R``, R the rotation atom (i, j, theta); 1-based i < j."""
+    c, s = math.cos(theta), math.sin(theta)
+    col_i, col_j = u[:, i - 1], u[:, j - 1]
+    u[:, i - 1], u[:, j - 1] = c * col_i - s * col_j, s * col_i + c * col_j
+
+
+def phase_column(u, k, delta):
+    """In place ``u <- u @ P``, P the phase exp(i * delta) on 1-based index k."""
+    u[:, k - 1] *= complex(math.cos(delta), math.sin(delta))
+
+
+def reference_evaluate(w):
+    """Reference for ``evaluate``: the product of the atoms on columns of U."""
+    u = np.eye(w.n, dtype=np.complex128)
+    for atom in w.atoms:
+        if isinstance(atom, RotationAtom):
+            rotate_columns(u, atom.i, atom.j, atom.theta)
+        else:
+            for k, delta in atom.deltas.items():
+                phase_column(u, k, delta)
+    return u
+
+
+def reference_decompose(u, tol=1e-10):
+    """Reference for ``decompose``: the elimination on columns of u^dagger,
+    t = v^dagger being the matrix reduced."""
+    u = np.asarray(u, dtype=np.complex128)
+    if not is_unitary(u, tol):
+        raise NotUnitaryError(f"input is not unitary within {tol}")
+    n = u.shape[0]
+    v = adjoint(u)
+    blocks = []
+    for a, b in canonical_order(DegeneracyPattern.singletons(n)):
+        i, j = min(a, b), max(a, b)
+        tij = v[j - 1, i - 1].conjugate()
+        tjj = v[j - 1, j - 1].conjugate()
+        if abs(tij) < ELIM_EPS:
+            delta, theta = 0.0, 0.0
+        else:
+            theta = math.atan2(abs(tij), abs(tjj))
+            if abs(tjj) < ELIM_EPS:
+                delta = 0.0
+            else:
+                x, y = float(np.angle(tij)), float(np.angle(tjj))
+                delta = _wrap(x - y if a == i else y - x, abs(x) + abs(y))
+        blocks.append(((a, b), delta, theta))
+        phase_column(v, a, delta)
+        rotate_columns(v, i, j, theta)
+    trailing = [_wrap(-x, abs(x)) for x in (float(np.angle(v[k, k])) for k in range(n))]
+    word = opor_word(n, blocks, trailing)
+    return DecompositionResult(word=word, residual=max_abs_diff(u, reference_evaluate(word)))
 
 
 # finite-difference reference for the exact rank-oracle Jacobian

@@ -175,3 +175,21 @@ def test_km_and_opor_do_not_depend_on_the_route():
             for a, b in zip(km.atoms, km_via.atoms):
                 if isinstance(a, PhaseAtom):
                     assert all(circular_gap(v, b.deltas[i]) <= 1e-14 for i, v in a.deltas.items()), w
+
+
+def test_range_reduce_does_not_depend_on_the_route():
+    """``range_reduce`` of a word and of its opor form sum the same pi flips and
+    phases in another order: the same rotations and nonzero phase supports,
+    and every phase within 3e-14 mod 2*pi."""
+    for seed in (7, 8):
+        rng = np.random.default_rng(seed)
+        for k in range(1500):
+            w = at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
+            direct, via = range_reduce(w), range_reduce(normalize(w, OPOR))
+            assert structure(direct) == structure(via), w
+            assert nonzero_support(direct) == nonzero_support(via), w
+            for a, b in zip(direct.atoms, via.atoms):
+                if isinstance(a, PhaseAtom):
+                    assert all(circular_gap(v, b.deltas[i]) <= 3e-14 for i, v in a.deltas.items()), w
+                else:
+                    assert a.theta == b.theta, w

@@ -1,0 +1,77 @@
+"""The row kernel behind ``evaluate``, ``decompose`` and the rank oracle gives
+the column kernel's results: the same values, density matrices byte for byte,
+and the same factored words (``conftest.reference_evaluate`` and
+``conftest.reference_decompose`` keep the column kernel)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import (
+    EDGE_ANGLES,
+    at_edges,
+    random_interleaved_word,
+    random_word,
+    reference_decompose,
+    reference_evaluate,
+)
+from rhochart.builder import build_density, kept_word, random_density_chart
+from rhochart.charts import eigen_matrix
+from rhochart.decompose import decompose
+from rhochart.degeneracy import DegeneracyPattern
+from rhochart.numerics import adjoint, haar_unitary
+from rhochart.words import evaluate, make_opor_chart, word_to_json
+
+TWO_PI = 2 * math.pi
+SIZES = (3, 4, 8, 16, 32)
+
+
+def density_build_patterns(n):
+    """The density-build benchmark's kinds: singletons, one pair, (n - 1, 1), two halves."""
+    mults = ((1,) * n, (2,) + (1,) * (n - 2), (n - 1, 1), ((n + 1) // 2, n // 2))
+    return [DegeneracyPattern.from_multiplicities(m) for m in mults]
+
+
+def phased_permutation(n, rng):
+    """A permutation matrix whose nonzero entries are exact units 1, -1, i, -i
+    or random phases, about half of each."""
+    units = np.array([1, -1, 1j, -1j])
+    entries = np.where(
+        rng.random(n) < 0.5, units[rng.integers(0, 4, n)], np.exp(1j * rng.uniform(0, TWO_PI, n))
+    )
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[np.arange(n), rng.permutation(n)] = entries
+    return u
+
+
+def edge_opor_chart(n, rng):
+    """opor chart with about half of its phases and thetas at an edge angle."""
+    params = rng.uniform(0.0, TWO_PI, n * n)
+    params[1 : n * (n - 1) : 2] = rng.uniform(0.0, math.pi / 2, n * (n - 1) // 2)
+    at_edge = rng.random(n * n) < 0.5
+    params[at_edge] = rng.choice(EDGE_ANGLES[:2], size=int(at_edge.sum()))
+    return make_opor_chart(n, params)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_row_kernel_matches_the_column_kernel(n):
+    rng = np.random.default_rng(21 + n)
+    words = [at_edges(random_word(n, rng, unique_pairs=bool(k % 2)), rng) for k in range(40)]
+    words += [random_interleaved_word(n, rng) for _ in range(2)]
+    charts = [random_density_chart(p, rng) for p in density_build_patterns(n) for _ in range(5)]
+    words += [kept_word(c) for c in charts]
+    for w in words:
+        u = evaluate(w)
+        assert u.flags.c_contiguous and np.array_equal(u, reference_evaluate(w)), w
+    for c in charts:
+        u = reference_evaluate(kept_word(c))
+        assert build_density(c).tobytes() == (u @ eigen_matrix(c.eigen) @ adjoint(u)).tobytes()
+    unitaries = [haar_unitary(n, rng) for _ in range(5)]
+    unitaries += [phased_permutation(n, rng) for _ in range(5)]
+    unitaries += [evaluate(edge_opor_chart(n, rng)) for _ in range(5)]
+    for u in unitaries:
+        got, want = decompose(u), reference_decompose(u)
+        assert json.dumps(word_to_json(got.word)) == json.dumps(word_to_json(want.word))
+        assert got.residual == want.residual
