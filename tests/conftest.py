@@ -6,9 +6,9 @@ import numpy as np
 
 from rhochart.builder import BlockParam, DensityChart, build_density
 from rhochart.charts import EigenChart, class_masses, spread
-from rhochart.decompose import ELIM_EPS, DecompositionResult, NotUnitaryError
+from rhochart.decompose import ELIM_EPS, DecompositionResult
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from rhochart.numerics import adjoint, is_unitary, max_abs_diff
+from rhochart.numerics import adjoint, max_abs_diff
 from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
 from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 
@@ -74,12 +74,9 @@ def reference_evaluate(w):
     return u
 
 
-def reference_decompose(u, tol=1e-10):
-    """Reference for ``decompose``: the elimination on columns of u^dagger,
-    t = v^dagger being the matrix reduced."""
-    u = np.asarray(u, dtype=np.complex128)
-    if not is_unitary(u, tol):
-        raise NotUnitaryError(f"input is not unitary within {tol}")
+def reference_decompose(u):
+    """Reference for ``decompose`` of a unitary ``u``: the elimination on
+    columns of u^dagger, t = v^dagger being the matrix reduced."""
     n = u.shape[0]
     v = adjoint(u)
     blocks = []
