@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyPattern
+from .numerics import HALF_PI
 
-HALF_PI = math.pi / 2
+FIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class EigenChart:
         if len(self.angles) != k - 1:
             raise ValueError(f"expected {k - 1} angles for {k} classes, got {len(self.angles)}")
         for a in self.angles:
-            if not (0.0 <= a <= HALF_PI) or not math.isfinite(a):
+            if not 0.0 <= a <= HALF_PI:
                 raise ValueError(f"angle {a} outside [0, pi/2]")
 
 
@@ -71,23 +72,23 @@ def eigen_matrix(c: EigenChart) -> np.ndarray:
     return np.diag(np.asarray(eigenvalues(c), dtype=np.complex128))
 
 
-def fit_chart(values, pattern: DegeneracyPattern, tol: float = 1e-9) -> EigenChart:
+def fit_chart(values, pattern: DegeneracyPattern) -> EigenChart:
     """Inverse of :func:`eigenvalues` on the canonical angle range.
 
-    ``values`` must be non-negative, sum to one within ``tol`` and be constant
-    within each class of ``pattern`` (within ``tol``).
+    ``values`` must be non-negative, sum to one and be constant within each
+    class of ``pattern``, each within ``FIT_TOL``.
     """
     values = [float(v) for v in values]
     if len(values) != pattern.n:
         raise ValueError(f"expected {pattern.n} values, got {len(values)}")
-    if any(v < -tol for v in values):
+    if any(v < -FIT_TOL for v in values):
         raise ValueError("negative eigenvalue")
-    if abs(sum(values) - 1.0) > tol:
+    if abs(sum(values) - 1.0) > FIT_TOL:
         raise ValueError(f"trace {sum(values)} is not 1")
     masses = []
     for cls in pattern.classes:
         members = [values[idx - 1] for idx in cls]
-        if max(members) - min(members) > tol:
+        if max(members) - min(members) > FIT_TOL:
             raise ValueError(f"values not constant on class {cls}")
         masses.append(sum(members))
 

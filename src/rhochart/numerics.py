@@ -15,6 +15,9 @@ import numpy as np
 #: library-wide default comparison tolerance, overridable per call
 DEFAULT_TOL = 1e-10
 
+TWO_PI = 2.0 * np.pi
+HALF_PI = np.pi / 2
+
 
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a square complex matrix with finite entries."""

@@ -42,10 +42,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .numerics import _json
-
-TWO_PI = 2.0 * math.pi
-HALF_PI = math.pi / 2
+from .numerics import HALF_PI, TWO_PI, _json
 
 # Width of _wrap's zero band, in ulps of max(mag, 2*pi).  On 3320 seeded opor
 # charts (n = 2..32, half their phases 0, with and without 2*pi*m offsets),
@@ -63,10 +60,6 @@ def _wrap(angle: float, mag: float) -> float:
     wrapped = angle % TWO_PI
     band = _WRAP_ULPS * math.ulp(max(mag, TWO_PI))
     return 0.0 if wrapped < band or TWO_PI - wrapped < band else wrapped
-
-
-class FormError(ValueError):
-    """Raised when an operation needs a recognized syntactic form."""
 
 
 class WordForm(enum.Enum):
@@ -137,9 +130,6 @@ class Word:
                     raise ValueError(f"phase {atom} exceeds dimension {self.n}")
             else:
                 raise TypeError(f"not an atom: {atom!r}")
-
-    def rotation_pairs(self) -> list[tuple[int, int]]:
-        return [(a.i, a.j) for a in self.atoms if isinstance(a, RotationAtom)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +269,6 @@ def _wrapped(terms) -> PhaseAtom:
     return PhaseAtom({k: v for k, v in sums.items() if v})
 
 
-def _pass_residual(phase: PhaseAtom, rot: RotationAtom) -> tuple[PhaseAtom, PhaseAtom]:
-    """Split ``phase`` against ``rot``: residual single + diagonal that passes.
-
-    The residual sits on the pair's smaller index.  On the rotation's support
-    the passing diagonal carries the larger index's phase on both rows;
-    off-support entries pass unchanged.  Angles are wrapped and zero angles
-    dropped, so either atom may come back empty.
-    """
-    i, j = rot.i, rot.j
-    dj = phase.deltas.get(j, 0.0)
-    passed = {k: [v] for k, v in phase.deltas.items() if k not in (i, j)}
-    passed[i] = passed[j] = [dj]
-    return _wrapped({i: [phase.deltas.get(i, 0.0), -dj]}), _wrapped(passed)
-
-
 def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
     """Pass the phase atom at position ``at`` through the neighbouring rotation.
 
@@ -311,8 +286,12 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
     r = at + 1 if direction == "right" else at - 1
     if not 0 <= r < len(atoms) or not isinstance(atoms[r], RotationAtom):
         raise ValueError(f"no rotation to the {direction} of position {at}")
-    residual, passed = _pass_residual(atoms[at], atoms[r])
-    out = [a for a in (residual, atoms[r], passed) if not isinstance(a, PhaseAtom) or a.deltas]
+    phase, rot = atoms[at], atoms[r]
+    dj = phase.deltas.get(rot.j, 0.0)
+    passed = {k: [v] for k, v in phase.deltas.items() if k not in (rot.i, rot.j)}
+    passed[rot.i] = passed[rot.j] = [dj]
+    moved = (_wrapped({rot.i: [phase.deltas.get(rot.i, 0.0), -dj]}), rot, _wrapped(passed))
+    out = [a for a in moved if not isinstance(a, PhaseAtom) or a.deltas]
     if direction == "left":
         out.reverse()
     atoms[min(at, r) : max(at, r) + 1] = out
@@ -418,10 +397,10 @@ def _normalize_km(w: Word) -> Word:
 
 def normalize(w: Word, target: WordForm) -> Word:
     """Rewrite ``w`` into the target form with identical evaluation; rotation
-    order is kept as given, never silently reordered.  A nonempty word with no
-    rotation becomes one diagonal in every normal form.  km reached directly
-    and through the phase-adjoint form has the same rotations and phase keys,
-    its phases equal within 1e-14 mod 2*pi."""
+    order is kept as given.  A nonempty word with no rotation becomes one
+    diagonal in every normal form.  opor is idempotent.  Normalizing a km or
+    phase-adjoint result again, or reaching km through the phase-adjoint form,
+    keeps the rotations and phase keys, with phases equal within 1e-14 mod 2*pi."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
@@ -437,12 +416,13 @@ def range_reduce(w: Word) -> Word:
     """Rewrite any word into one phase-one rotation form with canonical ranges.
 
     Angles land in [0, pi/2] and phases in [0, 2*pi); neighbouring phases absorb
-    sign flips, so the evaluation is unchanged.  Idempotent.  A word and its opor
-    form reduce to the same rotations and phase supports, phases within 3e-14 mod 2*pi.
+    sign flips, so the evaluation is unchanged.  Idempotent.  The flips act on the
+    opor form of ``w``, so a word and its opor form reduce to the same word.
     """
     if not w.atoms:
         return w
-    flipped = [_reduce_angle(a) if isinstance(a, RotationAtom) else (a,) for a in w.atoms]
+    opor = opor_word(w.n, *_sweep(w))
+    flipped = [_reduce_angle(a) if isinstance(a, RotationAtom) else (a,) for a in opor.atoms]
     return opor_word(w.n, *_sweep(Word(n=w.n, atoms=tuple(x for f in flipped for x in f))))
 
 
@@ -511,7 +491,7 @@ def count_phases(w: Word) -> tuple[int, int]:
         return (0, 0)
     form, internal, external = _parse_form(w)
     if form is WordForm.GENERAL:
-        raise FormError("word is not in a recognized form")
+        raise ValueError("word is not in a recognized form")
     return (internal, external)
 
 

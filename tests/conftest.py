@@ -9,7 +9,7 @@ from rhochart.charts import EigenChart, class_masses, spread
 from rhochart.decompose import ELIM_EPS, DecompositionResult
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
 from rhochart.numerics import adjoint, max_abs_diff
-from rhochart.words import FormError, PhaseAtom, RotationAtom, Word, WordForm, _wrap
+from rhochart.words import PhaseAtom, RotationAtom, Word, WordForm, _wrap
 from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 
 TWO_PI = 2.0 * np.pi
@@ -295,13 +295,13 @@ def reference_count_phases(w):
     if all(isinstance(a, RotationAtom) for a in w.atoms):
         return (0, 0)
     form = reference_classify_form(w)
-    rotations = len(w.rotation_pairs())
+    rotations = sum(isinstance(a, RotationAtom) for a in w.atoms)
     if form in (WordForm.ONE_PHASE_ONE_ROTATION, WordForm.PHASE_ADJOINT):
         return (max(rotations - 1, 0), (1 if rotations else 0) + w.n)
     if form is WordForm.KM:
         internal = sum(1 for a in _inner_atoms(w) if isinstance(a, PhaseAtom))
         return (internal, 2 * w.n - 1)
-    raise FormError("word is not in a recognized form")
+    raise ValueError("word is not in a recognized form")
 
 
 def all_pairs(n):

@@ -1,6 +1,7 @@
 """One angle rule: every phase a rewrite or ``decompose`` emits is wrapped into
 [0, 2*pi), and a sum that cancels to rounding level reads exactly 0."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from rhochart.words import (
     range_reduce,
     rewrite_merge_phases,
     rewrite_pass_through,
+    word_to_json,
 )
 
 TWO_PI = 2 * math.pi
@@ -178,18 +180,12 @@ def test_km_and_opor_do_not_depend_on_the_route():
 
 
 def test_range_reduce_does_not_depend_on_the_route():
-    """``range_reduce`` of a word and of its opor form sum the same pi flips and
-    phases in another order: the same rotations and nonzero phase supports,
-    and every phase within 3e-14 mod 2*pi."""
+    """``range_reduce`` flips and sweeps the opor form of its input, and opor
+    normalization is idempotent, so a word and its opor form reduce to the
+    same word."""
     for seed in (7, 8):
         rng = np.random.default_rng(seed)
         for k in range(1500):
             w = at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
             direct, via = range_reduce(w), range_reduce(normalize(w, OPOR))
-            assert structure(direct) == structure(via), w
-            assert nonzero_support(direct) == nonzero_support(via), w
-            for a, b in zip(direct.atoms, via.atoms):
-                if isinstance(a, PhaseAtom):
-                    assert all(circular_gap(v, b.deltas[i]) <= 3e-14 for i, v in a.deltas.items()), w
-                else:
-                    assert a.theta == b.theta, w
+            assert json.dumps(word_to_json(direct)) == json.dumps(word_to_json(via)), w

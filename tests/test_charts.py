@@ -56,6 +56,16 @@ def test_angle_count_validation():
         EigenChart(pattern=pat(1, 1, 1), angles=(0.1, 4.0))
 
 
+@pytest.mark.parametrize(
+    "angle",
+    [math.nan, math.inf, -math.inf, -1e-300, HALF_PI + 1e-15],
+    ids=["nan", "inf", "-inf", "below-0", "above-half-pi"],
+)
+def test_angle_outside_range_or_not_finite_is_rejected(angle):
+    with pytest.raises(ValueError, match=r"outside \[0, pi/2\]"):
+        EigenChart(pattern=pat(2, 1), angles=(angle,))
+
+
 def test_fit_chart_golden():
     chart = fit_chart([0.25, 0.25, 0.5], pat(2, 1))
     assert abs(chart.angles[0] - math.pi / 4) < 1e-15

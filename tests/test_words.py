@@ -21,7 +21,6 @@ from conftest import (
 )
 from rhochart.numerics import is_unitary, max_abs_diff
 from rhochart.words import (
-    FormError,
     PhaseAtom,
     RotationAtom,
     Word,
@@ -122,7 +121,7 @@ def test_opor_chart_param_counts():
     for n in range(2, 9):
         params = rng.uniform(0, 1, n * n)
         w = make_opor_chart(n, params)
-        assert len(w.rotation_pairs()) == n * (n - 1) // 2
+        assert sum(isinstance(a, RotationAtom) for a in w.atoms) == n * (n - 1) // 2
         assert chart_slot_count(w) == n * n
         with pytest.raises(ValueError):
             make_opor_chart(n, params[:-1])
@@ -135,7 +134,7 @@ def test_opor_chart_zero_params_identity():
 
 def test_opor_chart_n3_block_order():
     w = make_opor_chart(3, range(9))
-    assert w.rotation_pairs() == [(1, 3), (2, 3), (1, 2)]
+    assert [(a.i, a.j) for a in w.atoms if isinstance(a, RotationAtom)] == [(1, 3), (2, 3), (1, 2)]
     # block phases sit on 3, 2, 1: the oriented labels (3,1), (2,3), (1,2)
     phase_indices = [next(iter(a.deltas)) for a in w.atoms[:-1][::2]]
     assert phase_indices == [3, 2, 1]
@@ -146,7 +145,7 @@ def test_phase_adjoint_chart_phase_count():
     # the trailing diagonal n more: n(n+1)/2 phases in total, 6 for n = 3
     for n in (2, 3, 5):
         w = make_phase_adjoint_chart(n, np.zeros(n * n))
-        blocks = len(w.rotation_pairs())
+        blocks = sum(isinstance(a, RotationAtom) for a in w.atoms)
         trailing = len(w.atoms[-1].deltas)
         assert blocks + trailing == n * (n + 1) // 2
     assert 3 + 3 == 6
@@ -345,12 +344,36 @@ def test_normalize_opor_from_phase_adjoint_reproduces_known_phase_map():
     assert np.allclose(block_phases, expected, atol=1e-12)
 
 
+def edge_corpus():
+    """3000 seeded words at n = 2..8 with about half their angles at an edge,
+    unique and repeated rotation pairs alternately."""
+    for seed in (7, 8, 9):
+        rng = np.random.default_rng(seed)
+        for k in range(1000):
+            yield at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
+
+
 def test_normalize_opor_idempotent():
-    rng = np.random.default_rng(7)
-    w = random_word(4, rng, max_atoms=10)
-    once = normalize(w, OPOR)
-    twice = normalize(once, OPOR)
-    assert once == twice
+    for w in edge_corpus():
+        once = normalize(w, OPOR)
+        assert json.dumps(word_to_json(normalize(once, OPOR))) == json.dumps(word_to_json(once)), w
+
+
+def test_normalize_phase_adjoint_and_km_idempotent_within_1e_14():
+    """Normalizing again sums the same phases in another order: the same
+    rotations and phase keys, every phase within 1e-14 mod 2*pi."""
+    for w in edge_corpus():
+        for form in (WordForm.PHASE_ADJOINT, WordForm.KM):
+            once = normalize(w, form)
+            twice = normalize(once, form)
+            assert len(once.atoms) == len(twice.atoms), w
+            for a, b in zip(once.atoms, twice.atoms):
+                if isinstance(a, RotationAtom):
+                    assert a == b, w
+                else:
+                    assert sorted(a.deltas) == sorted(b.deltas), w
+                    gaps = [abs(v - b.deltas[k]) % TWO_PI for k, v in a.deltas.items()]
+                    assert all(min(g, TWO_PI - g) <= 1e-14 for g in gaps), w
 
 
 def test_normalize_general_is_identity():
@@ -412,7 +435,7 @@ def km_corpus():
 def test_km_matches_the_union_find_reference():
     checked = 0
     for w in km_corpus():
-        if not w.rotation_pairs():
+        if not any(isinstance(a, RotationAtom) for a in w.atoms):
             continue
         for v in (w, normalize(w, WordForm.PHASE_ADJOINT)):
             assert json.dumps(word_to_json(normalize(v, WordForm.KM))) == json.dumps(
@@ -438,8 +461,7 @@ def test_normalize_phase_adjoint_round_trip():
     w = random_word(4, rng, max_atoms=10)
     out = normalize(w, WordForm.PHASE_ADJOINT)
     assert max_abs_diff(evaluate(w), evaluate(out)) < 1e-12
-    rotations = len(w.rotation_pairs())
-    if rotations:
+    if any(isinstance(a, RotationAtom) for a in w.atoms):
         assert classify_form(out) in (WordForm.PHASE_ADJOINT, OPOR)
 
 
@@ -495,7 +517,7 @@ def test_normal_forms_of_words_that_repeat_pairs(w):
     for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM):
         out = normalize(w, form)
         assert max_abs_diff(evaluate(out), u) < 1e-12
-        if w.rotation_pairs():
+        if any(isinstance(a, RotationAtom) for a in w.atoms):
             assert classify_form(out) is form
 
 
@@ -580,7 +602,7 @@ def test_count_phases_pure_rotation():
 
 def test_count_phases_unrecognized():
     w = Word(n=3, atoms=(PhaseAtom({1: 0.3}), PhaseAtom({2: 0.1}), RotationAtom(1, 2, 0.2), PhaseAtom({1: 0.1, 2: 0.2}), RotationAtom(1, 2, 0.9)))
-    with pytest.raises(FormError):
+    with pytest.raises(ValueError, match="not in a recognized form"):
         count_phases(w)
 
 
@@ -640,8 +662,8 @@ def form_words(draw):
 def _counts_or_error(count, w):
     try:
         return count(w)
-    except FormError:
-        return FormError
+    except ValueError as exc:
+        return str(exc)
 
 
 @settings(max_examples=500, deadline=None)
