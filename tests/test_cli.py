@@ -183,6 +183,15 @@ def test_decompose_rejects_non_unitary_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_decompose_rejects_entries_whose_product_overflows_exit_3(capsys, tmp_path):
+    # finite entries, but squaring the first one overflows a float
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[1.5e154, 0], [1, 0], [1, 0], [0, 0]]}))
+    code, out, err = run(capsys, ["decompose", "--in", str(path)])
+    assert code == 3 and out == ""
+    assert err == "error: input is not unitary within 1e-10\n"
+
+
 def test_verify_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(rc.matrix_to_json(np.eye(3) / 3)))
