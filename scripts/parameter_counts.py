@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print the parameter-count table over all degeneracy patterns of n.
 
+Exits 1, naming the row, when internal + redundant differs from (n-1)^2.
+
 Usage: python scripts/parameter_counts.py --n 4
 """
 
 import argparse
+import sys
 
 from rhochart.degeneracy import (
     DegeneracyPattern,
@@ -24,6 +27,7 @@ def main():
     header = f"{'pattern':<14}{'degrees':>8}{'redundant':>11}{'internal':>10}{'orbit':>7}"
     print(header)
     print("-" * len(header))
+    square = (args.n - 1) ** 2
     for mults in all_partitions(args.n):
         p = DegeneracyPattern.from_multiplicities(list(mults))
         label = ",".join(str(m) for m in mults)
@@ -31,7 +35,9 @@ def main():
             f"{label:<14}{degrees_of_degeneracy(p):>8}{redundant_params(p):>11}"
             f"{internal_params(p):>10}{orbit_dim(p):>7}"
         )
-    print(f"\ncheck: internal + redundant == (n-1)^2 == {(args.n - 1) ** 2} for every row")
+        if internal_params(p) + redundant_params(p) != square:
+            sys.exit(f"check failed on row {label}: internal + redundant != (n-1)^2 == {square}")
+    print(f"\ncheck: internal + redundant == (n-1)^2 == {square} for every row")
 
 
 if __name__ == "__main__":

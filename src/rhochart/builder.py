@@ -225,7 +225,6 @@ def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
         # is mass_m * 2 cot(a_t) for m <= t, mass_m * -2 tan(a_t) for m = t + 1
         tan = math.tan(a)
         dmass = [2.0 * mass / tan for mass in masses[: t + 1]] + [-2.0 * tan * masses[t + 1]]
-        dmass += [0.0] * (len(masses) - len(dmass))
         jac[p:, p + t] = spread(c.pattern, dmass)
     return jac
 
@@ -246,9 +245,7 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     """
     _require_interior(c)
     sv = np.linalg.svd(_jacobian(c, include_eigen), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > SVD_THRESHOLD * sv[0]))
+    return int(np.sum(sv > SVD_THRESHOLD * sv.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ def class_masses(c: EigenChart) -> list[float]:
 
 def spread(pattern: DegeneracyPattern, masses) -> list[float]:
     """Per-index values in index order, each class's mass shared equally by its
-    indices; entries inside one class are bitwise equal."""
+    indices; entries inside one class are bitwise equal.  Classes past the end of
+    ``masses`` get 0."""
     values = [0.0] * pattern.n
     for mass, cls in zip(masses, pattern.classes):
         share = mass / len(cls)

@@ -84,9 +84,10 @@ class RotationAtom:
             raise ValueError("theta must be finite")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PhaseAtom:
-    """Diagonal of exp(i * delta_k); indices absent from ``deltas`` get phase 0."""
+    """Diagonal of exp(i * delta_k); indices absent from ``deltas`` get phase 0.
+    Atoms compare by ``deltas``, so an explicit 0 is not the same as an absent index."""
 
     deltas: Mapping[int, float]
 
@@ -97,14 +98,6 @@ class PhaseAtom:
                 raise ValueError(f"bad phase index {idx!r}")
             if not math.isfinite(val):
                 raise ValueError("phase angles must be finite")
-
-    def __eq__(self, other):
-        # absent index means phase 0, so zero entries do not distinguish atoms
-        if not isinstance(other, PhaseAtom):
-            return NotImplemented
-        mine = {k: v for k, v in self.deltas.items() if v != 0.0}
-        theirs = {k: v for k, v in other.deltas.items() if v != 0.0}
-        return mine == theirs
 
 
 Atom = Union[RotationAtom, PhaseAtom]

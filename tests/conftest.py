@@ -1,6 +1,10 @@
 """Shared generators and dense references for the test suite (all explicitly seeded)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +17,21 @@ from rhochart.words import PhaseAtom, RotationAtom, Word, WordForm, _wrap
 from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 
 TWO_PI = 2.0 * np.pi
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, stdin=b""):
+    """``python -W error::RuntimeWarning args`` in a fresh interpreter from the checkout
+    root, with its ``src/`` as the only ``PYTHONPATH``; stdout and stderr as bytes."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        input=stdin,
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+        check=False,
+    )
 
 
 # dense references: one n x n matrix per atom, multiplied in listed order

@@ -398,8 +398,18 @@ def test_jacobian_rank_golden_cases():
             r"block \(2, 3\): delta 6\.28\d* is not interior",
         ),
         (lambda: jacobian_rank(chart_21(0.3, 0.4, 0.5, 0.6, 0.0)), "eigen angle 0.0 is not interior"),
+        (lambda: DensityChart.from_json([]), "^input: expected an object, got list$"),
+        (lambda: validate_density([[0.5, 0.0], [0.0, np.nan]]), "matrix entries must be finite"),
     ],
-    ids=["eigen-pattern", "commutant-phases", "delta-near-0", "delta-near-2pi", "eigen-angle-0"],
+    ids=[
+        "eigen-pattern",
+        "commutant-phases",
+        "delta-near-0",
+        "delta-near-2pi",
+        "eigen-angle-0",
+        "json-not-an-object",
+        "density-nan",
+    ],
 )
 def test_chart_errors_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):

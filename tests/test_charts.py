@@ -145,3 +145,8 @@ def test_jacobian_rank_of_eigenvalue_map():
                 cols.append((np.asarray(fp) - np.asarray(fm)) / (2 * step))
             sv = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
             assert int(np.sum(sv > 1e-7 * sv[0])) == k - 1
+
+
+def test_fit_chart_accepts_a_generator():
+    chart = fit_chart((v for v in (0.25, 0.25, 0.5)), pat(2, 1))
+    assert chart == fit_chart([0.25, 0.25, 0.5], pat(2, 1))

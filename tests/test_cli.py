@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import rhochart as rc
 from rhochart.cli import MAX_DIM, main
 
+from conftest import run_python
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -608,3 +610,77 @@ def test_cli_exit_contract_under_malformed_json(case):
     assert code in (0, 2, 3)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines
+
+
+# the CLI as a process: what a shell sees of stdin, stdout, stderr and the exit code
+
+
+def cli(*argv, stdin=""):
+    return run_python("-m", "rhochart.cli", *argv, stdin=stdin.encode())
+
+
+def assert_process_usage_error(done, option=""):
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 2 and len(lines) == 1, (done.returncode, lines)
+    assert lines[0].startswith("error:") and option in lines[0]
+
+
+def rewrite_from_stdin(_):
+    word = '{"n": 2, "atoms": [{"phase": {"1": 0.3}}, {"rot": [1, 2], "theta": 0.4}]}\n'
+    done = cli("rewrite", "--to", "km", stdin=word)
+    assert done.returncode == 0 and done.stderr == b""
+    assert json.loads(done.stdout)["max_abs_diff"] < 1e-12
+
+
+def deep_nesting_on_stdin(_):
+    assert_process_usage_error(cli("verify", stdin="[" * 100000 + "\n"))
+
+
+def out_file_holds_stdout_bytes(tmp_path):
+    printed = cli("count", "--pattern", "2,1,1")
+    written = cli("count", "--pattern", "2,1,1", "--out", str(tmp_path / "count-out.txt"))
+    assert printed.returncode == written.returncode == 0
+    assert (tmp_path / "count-out.txt").read_bytes() == printed.stdout and written.stdout == b""
+
+
+def repeated_pair_in_either_form(_):
+    word = '{"n": 2, "atoms": [{"rot": [1, 2], "theta": 0.3}, {"rot": [1, 2], "theta": 0.4}]}\n'
+    for form in ("km", "opor"):
+        done = cli("rewrite", "--to", form, stdin=word)
+        assert done.returncode == 0 and json.loads(done.stdout)["max_abs_diff"] < 1e-12
+
+
+def word_without_rotation_to_km(_):
+    done = cli("rewrite", "--to", "km", stdin='{"n": 2, "atoms": [{"phase": {"1": 0.3, "2": 0.1}}]}\n')
+    assert done.returncode == 0 and len(json.loads(done.stdout)["word"]["atoms"]) == 1
+
+
+def opor_twice_is_opor_once(_):
+    general = (
+        '{"n": 3, "atoms": [{"phase": {"1": 0.3, "3": 2.0}}, {"rot": [1, 3], "theta": -0.4}, '
+        '{"phase": {"2": 1.1}}, {"rot": [2, 3], "theta": 2.5}, {"phase": {"1": 6.0, "2": 0.2}}]}\n'
+    )
+    once = json.loads(cli("rewrite", "--to", "opor", stdin=general).stdout)
+    twice = json.loads(cli("rewrite", "--to", "opor", stdin=json.dumps(once["word"])).stdout)
+    assert json.dumps(once["word"]) == json.dumps(twice["word"]) and twice["max_abs_diff"] == 0
+
+
+def negative_seed_names_the_option(_):
+    assert_process_usage_error(cli("build", "--pattern", "2,1", "--random", "--seed", "-1"), "--seed")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        rewrite_from_stdin,
+        deep_nesting_on_stdin,
+        out_file_holds_stdout_bytes,
+        repeated_pair_in_either_form,
+        word_without_rotation_to_km,
+        opor_twice_is_opor_once,
+        negative_seed_names_the_option,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_cli_process_contract(tmp_path, check):
+    check(tmp_path)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rhochart import numerics
+from rhochart.builder import validate_density
+from rhochart.decompose import decompose
 from rhochart.words import make_opor_chart, evaluate
 
 
@@ -87,9 +89,25 @@ def test_json_rejects_bad_input():
             lambda: numerics.max_abs_diff(np.eye(2), np.eye(3)),
             r"dimension mismatch: \(2, 2\) vs \(3, 3\)",
         ),
+        (lambda: numerics.is_unitary(np.array([[1.0, 0.0], [0.0, np.nan]])), "matrix entries must be finite"),
+        # the CLI prints this encoding, so a non-finite entry would be non-strict JSON
+        (lambda: numerics.matrix_to_json(np.array([[np.inf]])), "matrix entries must be finite"),
     ],
-    ids=["nan", "inf", "imaginary-inf", "shapes"],
+    ids=["nan", "inf", "imaginary-inf", "shapes", "unitary-nan", "json-inf"],
 )
 def test_matrix_errors_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: numerics.max_abs_diff([[1]], [[1]]), 0.0),
+        (lambda: decompose([[1, 0], [0, 1]]).residual, 0.0),
+        (lambda: validate_density([[0.5, 0], [0, 0.5]]).passed, True),
+    ],
+    ids=["max-abs-diff", "decompose", "validate-density"],
+)
+def test_matrix_arguments_may_be_nested_lists(call, value):
+    assert call() == value

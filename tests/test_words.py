@@ -692,6 +692,29 @@ def test_word_json_accepts_reversed_pair_labels():
         word_from_json({"n": 3, "atoms": [{"rot": [2, 2], "theta": 0.4}]})
 
 
+def test_value_types_copy_what_they_are_given():
+    deltas = {1: 0.3}
+    atom = PhaseAtom(deltas)
+    deltas[1] = 0.7
+    assert atom.deltas == {1: 0.3}
+    assert type(Word(2, [atom]).atoms) is tuple
+
+
+def test_atoms_compare_by_value():
+    assert PhaseAtom({1: 0.3}) == PhaseAtom({1: 0.3})
+    assert PhaseAtom({1: 0.3}) != PhaseAtom({1: 0.3, 2: 0.0})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(PhaseAtom({1: 0.3}))
+
+
+def test_opor_chart_of_integer_parameters_holds_floats():
+    text = json.dumps(word_to_json(make_opor_chart(2, [0] * 4)))
+    assert text == (
+        '{"n": 2, "atoms": [{"phase": {"1": 0.0}}, {"rot": [1, 2], "theta": 0.0}, '
+        '{"phase": {"1": 0.0, "2": 0.0}}]}'
+    )
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         RotationAtom(2, 2, 0.1)
@@ -729,8 +752,10 @@ def test_atom_indices_must_be_integers(make):
             ValueError,
             "unknown target form 'km'",
         ),
+        # a value longer than 40 characters is named by its type, not echoed
+        (lambda: word_from_json({"n": "x" * 100, "atoms": []}), ValueError, "^n: expected an integer, got str$"),
     ],
-    ids=["phase-nan", "phase-above-n", "not-an-atom", "target-not-a-form"],
+    ids=["phase-nan", "phase-above-n", "not-an-atom", "target-not-a-form", "long-value-by-type"],
 )
 def test_word_errors_name_the_fault(call, error, message):
     with pytest.raises(error, match=message):
