@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print the parameter-count table over all degeneracy patterns of n.
 
-Exits 1, naming the row, when internal + redundant differs from (n-1)^2.
+Exits 1, naming the row, when internal differs from orbit - (n-1): the
+internal count is defined from the redundant one, the orbit dimension from
+n^2 - sum(m^2), so the two are computed independently.
 
 Usage: python scripts/parameter_counts.py --n 4
 """
@@ -27,7 +29,6 @@ def main():
     header = f"{'pattern':<14}{'degrees':>8}{'redundant':>11}{'internal':>10}{'orbit':>7}"
     print(header)
     print("-" * len(header))
-    square = (args.n - 1) ** 2
     for mults in all_partitions(args.n):
         p = DegeneracyPattern.from_multiplicities(list(mults))
         label = ",".join(str(m) for m in mults)
@@ -35,9 +36,9 @@ def main():
             f"{label:<14}{degrees_of_degeneracy(p):>8}{redundant_params(p):>11}"
             f"{internal_params(p):>10}{orbit_dim(p):>7}"
         )
-        if internal_params(p) + redundant_params(p) != square:
-            sys.exit(f"check failed on row {label}: internal + redundant != (n-1)^2 == {square}")
-    print(f"\ncheck: internal + redundant == (n-1)^2 == {square} for every row")
+        if internal_params(p) != orbit_dim(p) - (args.n - 1):
+            sys.exit(f"check failed on row {label}: internal != orbit - (n-1)")
+    print(f"\ncheck: internal == orbit - (n-1) == orbit - {args.n - 1} for every row")
 
 
 if __name__ == "__main__":

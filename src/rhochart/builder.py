@@ -71,10 +71,6 @@ class DensityChart:
             raise ValueError(f"expected blocks {expected}, got {got}")
 
     def to_json(self) -> dict:
-        if DegeneracyPattern.from_multiplicities(self.pattern.multiplicities) != self.pattern:
-            raise ValueError(
-                f"classes {self.pattern.classes} are not contiguous; JSON keeps multiplicities"
-            )
         return {
             "pattern": list(self.pattern.multiplicities),
             "eigen_angles": list(self.eigen.angles),

@@ -1,9 +1,11 @@
 """Eigenvalue-degeneracy patterns and the parameter-counting formulas.
 
-A pattern partitions the index set {1..n} into classes of equal eigenvalues,
-listed in the ordering convention of the spectrum (the class of the first
-eigenvalue comes first).  Counting operations return how many unitary
-parameters survive, or become redundant, for a given pattern.
+A pattern is a multiplicity list: its classes of equal eigenvalues are runs of
+consecutive indices in {1..n}, in the order of the spectrum (the class of the
+first eigenvalue comes first).  Any other placement of equal eigenvalues gives
+the same density matrices, since U absorbs a permutation of D.  Counting
+operations return how many unitary parameters survive, or become redundant,
+for a given pattern.
 """
 
 from __future__ import annotations
@@ -14,48 +16,33 @@ from typing import Iterator, Sequence
 
 @dataclass(frozen=True)
 class DegeneracyPattern:
-    """Ordered partition of {1..n} into eigenvalue-equality classes."""
+    """Eigenvalue-equality classes given by their multiplicities: class k is the
+    k-th run of consecutive indices in 1..n."""
 
-    n: int
-    classes: tuple[tuple[int, ...], ...]
+    multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        table = [None] * (self.n + 1)
-        for pos, cls in enumerate(self.classes):
-            if not cls:
-                raise ValueError("empty class")
-            for idx in cls:
-                if not 1 <= idx <= self.n:
-                    raise ValueError(f"index {idx} outside 1..{self.n}")
-                if table[idx] is not None:
-                    raise ValueError(f"index {idx} appears in two classes")
-                table[idx] = pos
-        if None in table[1:]:
-            raise ValueError("classes must cover every index exactly once")
-        # class position of each index (slot 0 unused); derived, so not a field
+        mults = tuple(self.multiplicities)
+        if not mults or any(type(m) is not int or m < 1 for m in mults):  # bool is not int
+            raise ValueError("multiplicities must be positive")
+        classes, table = [], [None]  # table: class position of each index, slot 0 unused
+        for pos, m in enumerate(mults):
+            classes.append(tuple(range(len(table), len(table) + m)))
+            table += [pos] * m
+        # n, the index runs and the table are derived once, so not fields
+        object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "n", len(table) - 1)
+        object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "_class", table)
 
     @classmethod
     def from_multiplicities(cls, mults: Sequence[int]) -> "DegeneracyPattern":
-        """Contiguous classes from a multiplicity list such as [2, 1, 1]."""
-        if not mults or any(m < 1 for m in mults):
-            raise ValueError("multiplicities must be positive")
-        classes = []
-        start = 1
-        for m in mults:
-            classes.append(tuple(range(start, start + m)))
-            start += m
-        return cls(n=start - 1, classes=tuple(classes))
+        """Pattern of a multiplicity list such as [2, 1, 1]."""
+        return cls(tuple(mults))
 
     @classmethod
     def singletons(cls, n: int) -> "DegeneracyPattern":
         return cls.from_multiplicities([1] * n)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(cls) for cls in self.classes)
 
     @property
     def num_classes(self) -> int:

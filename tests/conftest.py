@@ -1,5 +1,6 @@
 """Shared generators and dense references for the test suite (all explicitly seeded)."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -398,6 +399,16 @@ def random_pattern(n, rng) -> DegeneracyPattern:
     return DegeneracyPattern.from_multiplicities(mults)
 
 
+def all_multiplicity_lists(max_n):
+    """Every ordered multiplicity list of n = 1..max_n, 2**max_n - 1 of them:
+    one per set of cut points in 1..n-1."""
+    for n in range(1, max_n + 1):
+        for k in range(n):
+            for cuts in itertools.combinations(range(1, n), k):
+                bounds = (0, *cuts, n)
+                yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def reference_canonical_order(p: DegeneracyPattern):
     """Reference for ``canonical_order``: the earlier body, which finds the class
     of both indices by a scan over the classes for every pair, O(n^3), where the
@@ -465,13 +476,3 @@ def reference_normalize_km(w: Word) -> Word:
     mag = [abs(q[x]) + abs(left[x]) + abs(off[x]) for x in range(n)]
     atoms.append(_diagonal(_wrap(q[x] - (left[x] + off[x]), mag[x]) for x in range(n)))
     return Word(n=n, atoms=tuple(atoms))
-
-
-def random_scattered_pattern(n, rng) -> DegeneracyPattern:
-    """Random pattern whose classes are not contiguous: a shuffled 1..n cut at
-    random points."""
-    indices = [int(k) for k in rng.permutation(np.arange(1, n + 1))]
-    cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
-    bounds = [0, *sorted(int(c) for c in cuts), n]
-    classes = tuple(tuple(indices[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return DegeneracyPattern(n=n, classes=classes)

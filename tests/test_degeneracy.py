@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_scattered_pattern, reference_canonical_order
+from conftest import all_multiplicity_lists, random_pattern, reference_canonical_order
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -68,6 +68,14 @@ def test_counting_identities_partition_sweep():
             assert redundant_params(p) == 2 * degrees_of_degeneracy(p)
 
 
+def test_parameter_counts_agree_with_the_orbit_dimension():
+    # internal_params is defined from redundant_params; orbit_dim from sum(m^2)
+    for mults in all_multiplicity_lists(8):
+        p = pat(*mults)
+        assert internal_params(p) == orbit_dim(p) - (p.n - 1), mults
+        assert redundant_params(p) == sum(m * m for m in mults) - p.n, mults
+
+
 def test_all_partitions_counts():
     # partition numbers p(2)..p(6) = 2, 3, 5, 7, 11
     assert [len(list(all_partitions(n))) for n in range(2, 7)] == [2, 3, 5, 7, 11]
@@ -77,39 +85,30 @@ def test_all_partitions_counts():
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        DegeneracyPattern(n=3, classes=((1, 2),))
-    with pytest.raises(ValueError):
-        DegeneracyPattern(n=3, classes=((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
         DegeneracyPattern.from_multiplicities([0, 3])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: DegeneracyPattern(n=0, classes=()), "n must be >= 1"),
-        (lambda: DegeneracyPattern(n=2, classes=((1, 2), ())), "empty class"),
-        (lambda: DegeneracyPattern(n=2, classes=((1, 3),)), r"index 3 outside 1\.\.2"),
-        (lambda: DegeneracyPattern(n=2, classes=((0, 1, 2),)), r"index 0 outside 1\.\.2"),
+        (lambda: pat(1.5), "^multiplicities must be positive$"),
+        (lambda: pat(2.0, 1), "^multiplicities must be positive$"),
+        (lambda: pat(True, 2), "^multiplicities must be positive$"),
+        (lambda: pat(), "^multiplicities must be positive$"),
+        (lambda: pat(2, -1), "^multiplicities must be positive$"),
         (lambda: oriented_pair(2, 2, 3), r"need 1 <= i < j <= n, got \(2, 2\) for n=3"),
     ],
-    ids=["n-zero", "empty-class", "index-above-n", "index-zero", "pair-not-increasing"],
+    ids=["fraction", "integral-float", "bool", "empty", "negative", "pair-not-increasing"],
 )
 def test_pattern_errors_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
-def test_pattern_accepts_non_contiguous_classes():
-    p = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
-    assert p.multiplicities == (2, 1)
-    assert p.same_class(1, 3)
-
-
 @pytest.mark.parametrize("bad", [0, 4])
 def test_same_class_rejects_an_index_outside_the_pattern(bad):
     # the class table has a slot 0 and a last slot, neither of which is an index
-    p = DegeneracyPattern(n=3, classes=((1, 3), (2,)))
+    p = pat(2, 1)
     for i, j in [(bad, 1), (1, bad)]:
         with pytest.raises(ValueError, match="outside 1..3"):
             p.same_class(i, j)
@@ -128,7 +127,7 @@ def test_oriented_pair():
 
 def test_canonical_order_n3_golden():
     assert canonical_order(pat(2, 1)) == ((3, 1), (2, 3), (1, 2))
-    assert canonical_order(DegeneracyPattern(n=3, classes=((1,), (2, 3)))) == (
+    assert canonical_order(DegeneracyPattern.from_multiplicities([1, 2])) == (
         (3, 1),
         (1, 2),
         (2, 3),
@@ -149,12 +148,13 @@ def test_canonical_order_matches_the_reference_on_every_small_pattern():
 
 
 def test_canonical_order_matches_the_reference_on_scattered_patterns():
+    # up to n = 256, the CLI's largest dimension
     rng = np.random.default_rng(17)
     patterns = [DegeneracyPattern.singletons(256)] + [
-        random_scattered_pattern(int(n), rng) for n in [256, *rng.integers(2, 257, size=39)]
+        random_pattern(int(n), rng) for n in [256, *rng.integers(2, 257, size=39)]
     ]
     for p in patterns:
-        assert canonical_order(p) == reference_canonical_order(p), p.classes
+        assert canonical_order(p) == reference_canonical_order(p), p.multiplicities
 
 
 @given(mult_lists)
