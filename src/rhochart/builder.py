@@ -172,22 +172,17 @@ def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None
 
 
 def _require_interior(c: DensityChart):
+    """Refuse a block or eigen angle within ``INTERIOR_MARGIN`` of its range ends,
+    or two class masses closer than ``MASS_GAP``; block phases are not restricted."""
     for bp in c.unitary_params:
         if not (INTERIOR_MARGIN < bp.theta < HALF_PI - INTERIOR_MARGIN):
             raise ValueError(f"block {bp.block}: theta {bp.theta} is not interior")
-        if not (INTERIOR_MARGIN < bp.delta < TWO_PI - INTERIOR_MARGIN):
-            raise ValueError(f"block {bp.block}: delta {bp.delta} is not interior")
     for a in c.eigen.angles:
         if not (INTERIOR_MARGIN < a < HALF_PI - INTERIOR_MARGIN):
             raise ValueError(f"eigen angle {a} is not interior")
-    if _mass_gap(c.eigen) < MASS_GAP:
+    masses = sorted(class_masses(c.eigen))
+    if any(q - p < MASS_GAP for p, q in zip(masses, masses[1:])):
         raise ValueError("class masses too close; pattern would be accidentally larger")
-
-
-def _mass_gap(eigen: EigenChart) -> float:
-    """Least separation of two class masses (infinite for one class)."""
-    masses = sorted(class_masses(eigen))
-    return min((q - p for p, q in zip(masses, masses[1:])), default=math.inf)
 
 
 def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
@@ -229,8 +224,11 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     """Numerical rank of the exact d(rho)/d(params): singular values above
     ``SVD_THRESHOLD`` relative to the largest.  Its eigenframe rows are an
     orthogonal change of rho's real and imaginary rows, zero rows dropped.  The
-    chart must be interior, angles ``INTERIOR_MARGIN`` inside their ranges and
-    class masses separated, or the rank would not reflect the declared pattern.
+    chart must be interior, block and eigen angles ``INTERIOR_MARGIN`` inside
+    their ranges and class masses ``MASS_GAP`` apart, or the rank would not
+    reflect the declared pattern.  Block phases are free: on singletons, |det| of
+    the square system is prod_b sin theta_b cos^{e_b} theta_b 2 (lambda_l - lambda_k)^2
+    over blocks b on k < l, with e_b = 2 (earlier blocks with the same l) + 1.
 
     No threshold can certify ``orbit_dim`` beyond small n: the singular values
     decay without a gap, as the Euler-angle volume element, a product of
@@ -295,19 +293,20 @@ def random_density_chart(
 ) -> DensityChart:
     """Chart with angles uniform over their canonical ranges.
 
-    With ``interior=True``, angles keep a margin from the range boundaries
-    and the eigen angles are redrawn until all class masses are separated.
+    With ``interior=True``, block angles keep a 1e-2 margin, and the k class
+    masses are drawn at once, uniform on the simplex above a floor that keeps
+    them 2e-4 from 0 and 10 ``MASS_GAP`` apart; ``fit_chart`` inverts them, in
+    random class order, to eigen angles more than 0.014 inside [0, pi/2].
     """
     margin = 1e-2 if interior else 0.0
     blocks = tuple(BlockParam(lab, *_draw_block(rng, margin)) for lab in kept_blocks(pattern))
     k = pattern.num_classes
-    while True:
-        eigen = EigenChart(
-            pattern=pattern,
-            angles=tuple(float(a) for a in rng.uniform(margin, HALF_PI - margin, size=k - 1)),
-        )
-        if not interior or _mass_gap(eigen) >= 10 * MASS_GAP:
-            break
+    if interior:
+        least = 2e-4 + 10 * MASS_GAP * np.arange(k)
+        masses = np.sort(rng.dirichlet(np.ones(k))) * (1.0 - least.sum()) + least
+        eigen = fit_chart(spread(pattern, rng.permutation(masses)), pattern)
+    else:
+        eigen = EigenChart(pattern, tuple(float(a) for a in rng.uniform(0, HALF_PI, size=k - 1)))
     return DensityChart(pattern=pattern, eigen=eigen, unitary_params=blocks)
 
 
