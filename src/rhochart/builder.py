@@ -255,17 +255,19 @@ class DensityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        report = asdict(self)  # strict JSON: a check that is not finite reads null
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
 
 
 def validate_density(m: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> DensityReport:
     """Check the defining conditions: hermiticity, unit trace, no negative
-    eigenvalue beyond ``tol``."""
+    eigenvalue beyond ``tol``.  A check that overflows to inf or NaN fails."""
     m = numerics.as_matrix(m)
-    herm = numerics.max_abs_diff(m, numerics.adjoint(m))
-    trace = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-    sym = (m + numerics.adjoint(m)) / 2.0
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = numerics.max_abs_diff(m, numerics.adjoint(m))
+        trace = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
+        sym = (m + numerics.adjoint(m)) / 2.0
+    min_eig = float(np.min(np.linalg.eigvalsh(sym))) if np.isfinite(sym).all() else math.nan
     passed = herm <= tol and trace <= tol and min_eig >= -tol
     return DensityReport(
         hermiticity_error=herm,

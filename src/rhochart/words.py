@@ -17,9 +17,10 @@ All three are one product of phase-dressed rotations; they differ only in
 where each block's phase is written.  The common intermediate is the block
 form: ``(label, delta, theta)`` blocks, ``label`` the oriented pair (a, b)
 whose index a carries the phase, plus n trailing phases.  :func:`_sweep`
-brings any word into it; :func:`opor_word` renders it as P_a R,
-:func:`_phase_adjoint_word` as P_a R P_a^dagger, and km reads each block's
-conjugation phase, the a - b difference of the running block-phase sum.
+brings any word into it with every angle in [0, pi/2], its signs moved into
+phases of pi; :func:`opor_word` renders it as P_a R, :func:`_phase_adjoint_word`
+as P_a R P_a^dagger, and km reads each block's conjugation phase, the a - b
+difference of the running block-phase sum.
 
 Rewrites never change the evaluation.  The basic moves are merging adjacent
 diagonals and passing a diagonal through a rotation: on the rotation's
@@ -56,7 +57,7 @@ def _wrap(angle: float, mag: float) -> float:
     """``angle`` reduced into [0, 2*pi), and 0 within ``_WRAP_ULPS`` ulps of
     max(mag, 2*pi) of 0 or 2*pi, ``mag`` being the summed magnitude of the
     terms that produced ``angle``: there it is the residue of a sum that
-    cancels.  No other code reduces an angle mod 2*pi or decides it is 0."""
+    cancels.  No other code reduces a phase mod 2*pi or decides it is 0."""
     wrapped = angle % TWO_PI
     band = _WRAP_ULPS * math.ulp(max(mag, TWO_PI))
     return 0.0 if wrapped < band or TWO_PI - wrapped < band else wrapped
@@ -295,20 +296,21 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
 # normal forms
 
 
-def _reduce_angle(rot: RotationAtom) -> tuple[Atom, Atom, Atom]:
-    """R(theta) as F_left R(theta') F_right, with theta' in [0, pi/2] and the
-    flips F phases of pi on the rotation's rows that absorb the signs."""
-    i, j = rot.i, rot.j
-    th = _wrap(rot.theta, abs(rot.theta))
+def _reduce_angle(i: int, j: int, theta: float):
+    """R_ij(theta) as F_left R(theta') F_right: (left rows, theta', right rows),
+    theta' in [0, pi/2] and each flip F a phase of pi on its rows.  An angle in
+    range is kept bit for bit; |theta| >= 2*pi is first reduced through sin and
+    cos, whose argument reduction is exact (Payne & Hanek, 1983)."""
+    if abs(theta) >= TWO_PI:
+        theta = math.atan2(math.sin(theta), math.cos(theta))
+    th = theta if 0.0 <= theta <= HALF_PI else _wrap(theta, abs(theta))
     if th <= HALF_PI:
-        left, theta, right = {}, th, {}
-    elif th <= math.pi:
-        left, theta, right = {i: math.pi}, math.pi - th, {j: math.pi}
-    elif th <= 1.5 * math.pi:
-        left, theta, right = {i: math.pi, j: math.pi}, th - math.pi, {}
-    else:
-        left, theta, right = {j: math.pi}, TWO_PI - th, {j: math.pi}
-    return PhaseAtom(left), RotationAtom(i, j, theta), PhaseAtom(right)
+        return (), th, ()
+    if th <= math.pi:
+        return (i,), math.pi - th, (j,)
+    if th <= 1.5 * math.pi:
+        return (i, j), th - math.pi, ()
+    return (j,), TWO_PI - th, (j,)
 
 
 def _sweep(w: Word):
@@ -316,8 +318,9 @@ def _sweep(w: Word):
 
     The running diagonal accumulates every phase seen so far; at each
     rotation it splits into a single residual on the block's designated
-    index plus a diagonal that keeps moving right.  ``mag`` sums the
-    magnitudes of the terms behind each entry of the running diagonal.
+    index plus a diagonal that keeps moving right; the flips of
+    :func:`_reduce_angle` join it before and after the block.  ``mag`` sums
+    the magnitudes of the terms behind each entry of the running diagonal.
     """
     phi, mag = [0.0] * w.n, [0.0] * w.n
     blocks = []
@@ -327,10 +330,17 @@ def _sweep(w: Word):
                 phi[idx - 1] += val
                 mag[idx - 1] += abs(val)
             continue
+        left, theta, right = _reduce_angle(atom.i, atom.j, atom.theta)
+        for k in left:
+            phi[k - 1] += math.pi
+            mag[k - 1] += math.pi
         a, b = oriented_pair(atom.i, atom.j, w.n)
         residual = _wrap(phi[a - 1] - phi[b - 1], mag[a - 1] + mag[b - 1])
         phi[a - 1], mag[a - 1] = phi[b - 1], mag[b - 1]
-        blocks.append(((a, b), residual, atom.theta))
+        blocks.append(((a, b), residual, theta))
+        for k in right:
+            phi[k - 1] += math.pi
+            mag[k - 1] += math.pi
     return blocks, [_wrap(p, m) for p, m in zip(phi, mag)]
 
 
@@ -390,10 +400,12 @@ def _normalize_km(w: Word) -> Word:
 
 def normalize(w: Word, target: WordForm) -> Word:
     """Rewrite ``w`` into the target form with identical evaluation; rotation
-    order is kept as given.  A nonempty word with no rotation becomes one
-    diagonal in every normal form.  opor is idempotent.  Normalizing a km or
-    phase-adjoint result again, or reaching km through the phase-adjoint form,
-    keeps the rotations and phase keys, with phases equal within 1e-14 mod 2*pi."""
+    order is kept as given, each angle lands in [0, pi/2], and one already there
+    is kept bit for bit.  A nonempty word with no rotation becomes one diagonal
+    in every normal form.  opor is idempotent.  Normalizing a km or phase-adjoint
+    result again, or reaching km through the phase-adjoint form, keeps the
+    rotations and phase keys, with phases equal within 1e-14 mod 2*pi.  Phases
+    are reduced as floats, so an input phase d moves the evaluation by ~4e-17 |d|."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
@@ -406,17 +418,9 @@ def normalize(w: Word, target: WordForm) -> Word:
 
 
 def range_reduce(w: Word) -> Word:
-    """Rewrite any word into one phase-one rotation form with canonical ranges.
-
-    Angles land in [0, pi/2] and phases in [0, 2*pi); neighbouring phases absorb
-    sign flips, so the evaluation is unchanged.  Idempotent.  The flips act on the
-    opor form of ``w``, so a word and its opor form reduce to the same word.
-    """
-    if not w.atoms:
-        return w
-    opor = opor_word(w.n, *_sweep(w))
-    flipped = [_reduce_angle(a) if isinstance(a, RotationAtom) else (a,) for a in opor.atoms]
-    return opor_word(w.n, *_sweep(Word(n=w.n, atoms=tuple(x for f in flipped for x in f))))
+    """The opor form of ``w``: angles in [0, pi/2] and phases in [0, 2*pi), as
+    in every normal form.  Idempotent; a word and its opor form reduce alike."""
+    return opor_word(w.n, *_sweep(w)) if w.atoms else w
 
 
 # ---------------------------------------------------------------------------

@@ -189,3 +189,57 @@ def test_range_reduce_does_not_depend_on_the_route():
             w = at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
             direct, via = range_reduce(w), range_reduce(normalize(w, OPOR))
             assert json.dumps(word_to_json(direct)) == json.dumps(word_to_json(via)), w
+
+
+# every normal form reduces each rotation angle into [0, pi/2]
+
+far_thetas = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.floats(min_value=0.0, max_value=math.pi / 2),
+    st.sampled_from((-0.0, math.pi / 2, math.pi, -math.pi / 2, TWO_PI, -TWO_PI, 1.5 * math.pi)),
+    st.sampled_from((1e6, -1e9, 1e300, -1e300, 2.0**60 * math.pi)),
+)
+
+
+@st.composite
+def far_words(draw):
+    """Words at n = 2..6, pairs repeated, whose angles are negative, above
+    pi/2, of a full turn or more, or already in [0, pi/2]."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    atoms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        if draw(st.booleans()):
+            atoms.append(RotationAtom(*draw(st.sampled_from(pairs)), draw(far_thetas)))
+        else:
+            support = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+            atoms.append(PhaseAtom({k: draw(st.floats(min_value=-TWO_PI, max_value=TWO_PI)) for k in support}))
+    return Word(n=n, atoms=tuple(atoms))
+
+
+def rotation_angles(w):
+    return [a.theta for a in w.atoms if isinstance(a, RotationAtom)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_words())
+def test_every_normal_form_reduces_its_angles_into_the_first_quadrant(w):
+    u, given_angles = evaluate(w), rotation_angles(w)
+    for out in (normalize(w, OPOR), normalize(w, PA), normalize(w, KM), range_reduce(w)):
+        angles = rotation_angles(out)
+        assert len(angles) == len(given_angles)
+        assert all(0.0 <= t <= math.pi / 2 for t in angles), angles
+        assert max_abs_diff(evaluate(out), u) < 1e-12
+        for before, after in zip(given_angles, angles):
+            if 0.0 <= before <= math.pi / 2:  # kept bit for bit, -0.0 included
+                assert after.hex() == before.hex()
+
+
+def test_a_large_angle_is_reduced_through_sin_and_cos():
+    """``theta % fl(2*pi)`` would move these evaluations by up to 1.6; sin and
+    cos reduce their argument exactly."""
+    for theta in (1e6, -1e9, 1e300):
+        w = Word(n=2, atoms=(PhaseAtom({1: 0.3}), RotationAtom(1, 2, theta), PhaseAtom({2: 0.1})))
+        for out in (range_reduce(w), normalize(w, KM), normalize(w, PA)):
+            assert 0.0 <= rotation_angles(out)[0] <= math.pi / 2
+            assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-15, theta

@@ -454,6 +454,35 @@ def test_interior_sampler_separates_class_masses_in_one_draw():
         assert min(gaps, default=math.inf) >= 10 * MASS_GAP - 1e-14, pattern.multiplicities
 
 
+#: ``random_density_chart(pat(3, 2), np.random.default_rng(165), interior=True)``,
+#: pinned as literal JSON so that a change to the sampler cannot hide it: an
+#: accepted chart whose Jacobian has singular values 2.6e-9 and 4.9e-10 of the
+#: largest, below SVD_THRESHOLD, so ``jacobian_rank`` counts 10 of 12
+ILL_CONDITIONED_CHART = {
+    "pattern": [3, 2],
+    "eigen_angles": [1.33207550309759],
+    "unitary_params": [
+        {"block": [5, 1], "delta": 2.907861255420219, "theta": 0.9054182935655268},
+        {"block": [3, 5], "delta": 4.838216114060407, "theta": 1.4718130654358055},
+        {"block": [3, 4], "delta": 5.38798894984553, "theta": 0.19343546107363419},
+        {"block": [2, 5], "delta": 0.7166397862320564, "theta": 1.5360675690114378},
+        {"block": [2, 4], "delta": 6.257504010370801, "theta": 1.495112855309737},
+        {"block": [1, 4], "delta": 3.9674714092289665, "theta": 1.5591510543086233},
+    ],
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the float rank under-counts an accepted ill-conditioned chart",
+)
+def test_jacobian_rank_is_orbit_dim_on_an_ill_conditioned_accepted_chart():
+    chart = DensityChart.from_json(ILL_CONDITIONED_CHART)
+    _require_interior(chart)  # accepted: a refusal here is a failure, not the expected one
+    assert jacobian_rank(chart) == orbit_dim(chart.pattern)
+
+
 def test_jacobian_rank_with_eigen_directions():
     rng = np.random.default_rng(12)
     for mults in [(1, 1, 1), (2, 1), (2, 2)]:

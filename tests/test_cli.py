@@ -208,6 +208,36 @@ def test_verify_pass_and_fail(capsys, tmp_path):
     assert not json.loads(out)["passed"]
 
 
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "entries, nulls",
+    [
+        # the trace is finite, but 2 * 1.8e308 overflows the symmetric part
+        ([[1.7976931348623157e308, 0], [0, 0], [0, 0], [0.5, 0]], {"min_eigenvalue"}),
+        # the difference of the off-diagonal pair overflows
+        ([[0.5, 0], [1.7e308, 0], [-1.7e308, 0], [0.5, 0]], {"hermiticity_error"}),
+        # the trace itself overflows
+        ([[1.7e308, 0], [0, 0], [0, 0], [1.7e308, 0]], {"trace_error", "min_eigenvalue"}),
+    ],
+    ids=["symmetric-part", "hermiticity", "trace"],
+)
+def test_verify_reports_an_overflowing_check_as_null_exit_3(capsys, tmp_path, entries, nulls):
+    # run under the suite's error::RuntimeWarning: an overflow must not raise
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    code, out, err = run(capsys, ["verify", "--in", str(path)])
+    assert code == 3 and err == ""
+    report = strict_json(out)
+    assert report["passed"] is False
+    assert {k for k, v in report.items() if v is None} == nulls
+
+
 def test_commutant_commutes_with_pattern_diagonal(capsys):
     obj = run_json(capsys, ["commutant", "--pattern", "2,1", "--random", "--seed", "5"])
     c = rc.matrix_from_json(obj)
