@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics
-from .charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
+from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
 from .numerics import _built, _json
 from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
@@ -85,7 +85,8 @@ class DensityChart:
         obj = _json(obj, "input", dict)
         mults = _json(obj.get("pattern"), "pattern", [int])
         pattern = _built("pattern", DegeneracyPattern.from_multiplicities, mults)
-        angles = tuple(_json(obj.get("eigen_angles"), "eigen_angles", [float]))
+        angles = _json(obj.get("eigen_angles"), "eigen_angles", [float])
+        angles = tuple(_built(f"eigen_angles[{k}]", _angle, a) for k, a in enumerate(angles))
         eigen = _built("eigen_angles", EigenChart, pattern, angles)
         params = []
         for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):

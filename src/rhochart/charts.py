@@ -31,8 +31,14 @@ class EigenChart:
         if len(self.angles) != k - 1:
             raise ValueError(f"expected {k - 1} angles for {k} classes, got {len(self.angles)}")
         for a in self.angles:
-            if not 0.0 <= a <= HALF_PI:
-                raise ValueError(f"angle {a} outside [0, pi/2]")
+            _angle(a)
+
+
+def _angle(a: float) -> float:
+    """``a``, refused unless it lies in [0, pi/2]."""
+    if not 0.0 <= a <= HALF_PI:
+        raise ValueError(f"angle {a} outside [0, pi/2]")
+    return a
 
 
 def class_masses(c: EigenChart) -> list[float]:

@@ -5,6 +5,10 @@ accepts only the options its command reads.  Input is read from --in
 (default stdin), output written to --out (default stdout).
 Randomized actions require an explicit --seed and are fully deterministic
 given one.  Exit codes: 0 ok, 2 usage error, 3 validation failure.
+
+A command imports the modules it reads only once its input is read and its
+options are checked, so ``count``, ``--help`` and a request rejected before
+any array exists never load numpy.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import builder, degeneracy, numerics, words
-from .decompose import NotUnitaryError
-from .decompose import decompose as decompose_matrix
+from . import degeneracy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,6 +26,10 @@ EXIT_VALIDATION = 3
 
 #: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
 MAX_DIM = 256
+
+
+class _Invalid(ValueError):
+    """A request that was read but fails validation: exit 3, not 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,12 +65,29 @@ def _check_dim(n: int):
         raise ValueError(f"dimension {n} exceeds the limit of {MAX_DIM}")
 
 
-def _rng_from_args(args) -> np.random.Generator:
+def _rng_from_args(args):
     if args.seed is None:
         raise ValueError("--seed is required for randomized actions")
     if args.seed < 0:
         raise ValueError(f"argument --seed: must be a non-negative integer, got {args.seed}")
+    import numpy as np
     return np.random.default_rng(args.seed)
+
+
+def _tol(args) -> float:
+    """``--tol``, or ``numerics.DEFAULT_TOL`` when the request gives none."""
+    from . import numerics
+    return numerics.DEFAULT_TOL if args.tol is None else args.tol
+
+
+def _matrix(args):
+    """The request's matrix; a ``dim`` above MAX_DIM is refused before any array is built."""
+    obj = _read_json(args)
+    dim = obj.get("dim") if isinstance(obj, dict) else None
+    if type(dim) is int:  # any other dim is numerics' to reject
+        _check_dim(dim)
+    from . import numerics
+    return numerics.matrix_from_json(obj)
 
 
 def cmd_count(args):
@@ -88,18 +109,22 @@ def cmd_build(args):
     if args.random:
         if args.infile:
             raise ValueError("--in cannot be combined with --random, which reads no chart")
-        chart = builder.random_density_chart(pattern, _rng_from_args(args))
+        rng = _rng_from_args(args)
+        from . import builder, numerics
+        chart = builder.random_density_chart(pattern, rng)
     else:
         if args.seed is not None:
             raise ValueError("--seed needs --random; a chart read from --in is not sampled")
+        obj = _read_json(args)
+        from . import builder, numerics
         mults = list(pattern.multiplicities)
-        obj = {"pattern": mults, **numerics._json(_read_json(args), "input", dict)}
+        obj = {"pattern": mults, **numerics._json(obj, "input", dict)}
         # compared before any pattern is built: "pattern": [1000000] would take minutes
         if numerics._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
         chart = builder.DensityChart.from_json(obj)
     rho = builder.build_density(chart)
-    report = builder.validate_density(rho, tol=args.tol)
+    report = builder.validate_density(rho, tol=_tol(args))
     payload = {
         "chart": chart.to_json(),
         "matrix": numerics.matrix_to_json(rho),
@@ -109,7 +134,9 @@ def cmd_build(args):
 
 
 def cmd_rewrite(args):
-    word = words.word_from_json(_read_json(args))
+    obj = _read_json(args)
+    from . import numerics, words
+    word = words.word_from_json(obj)
     _check_dim(word.n)
     rewritten = words.normalize(word, words.WordForm(args.to))
     diff = numerics.max_abs_diff(words.evaluate(word), words.evaluate(rewritten))
@@ -117,21 +144,29 @@ def cmd_rewrite(args):
 
 
 def cmd_decompose(args):
-    matrix = numerics.matrix_from_json(_read_json(args))
-    result = decompose_matrix(matrix, tol=args.tol)
+    matrix = _matrix(args)
+    from . import words
+    from .decompose import NotUnitaryError, decompose
+    try:
+        result = decompose(matrix, tol=_tol(args))
+    except NotUnitaryError as exc:  # a matrix that is not unitary fails validation
+        raise _Invalid(str(exc)) from None
     return {"word": words.word_to_json(result.word), "residual": result.residual}, EXIT_OK
 
 
 def cmd_verify(args):
-    matrix = numerics.matrix_from_json(_read_json(args))
-    report = builder.validate_density(matrix, tol=args.tol)
+    matrix = _matrix(args)
+    from . import builder
+    report = builder.validate_density(matrix, tol=_tol(args))
     return report.to_json(), EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_commutant(args):
     if not args.random:
         raise ValueError("commutant only samples; it needs --random and --seed")
-    spec = builder.random_commutant_spec(args.pattern, _rng_from_args(args))
+    rng = _rng_from_args(args)
+    from . import builder, numerics
+    spec = builder.random_commutant_spec(args.pattern, rng)
     return numerics.matrix_to_json(builder.build_commutant(spec)), EXIT_OK
 
 
@@ -163,7 +198,7 @@ def _tolerance(text: str) -> float:
 _OPTIONS = {
     "--pattern": dict(type=_pattern, required=True, help="multiplicity list, e.g. 2,1,1"),
     "--seed": dict(type=int, default=None, help="seed for randomized actions"),
-    "--tol": dict(type=_tolerance, default=numerics.DEFAULT_TOL, help="positive tolerance"),
+    "--tol": dict(type=_tolerance, default=None, help="positive tolerance"),
     "--to": dict(choices=["opor", "km"], required=True),
     "--in": dict(dest="infile", default=None, help="input JSON file (default stdin)"),
     "--out": dict(dest="outfile", default=None, help="output file (default stdout)"),
@@ -222,8 +257,7 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a matrix that is not unitary fails validation; any other rejection is a usage error
-        return EXIT_VALIDATION if isinstance(exc, NotUnitaryError) else EXIT_USAGE
+        return EXIT_VALIDATION if isinstance(exc, _Invalid) else EXIT_USAGE
 
 
 if __name__ == "__main__":

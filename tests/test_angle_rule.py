@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,3 +244,15 @@ def test_a_large_angle_is_reduced_through_sin_and_cos():
         for out in (range_reduce(w), normalize(w, KM), normalize(w, PA)):
             assert 0.0 <= rotation_angles(out)[0] <= math.pi / 2
             assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-15, theta
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="words._wrap reduces a phase with % fl(2*pi), whose zero band swallows a phase of 1e300",
+)
+def test_a_huge_phase_keeps_the_evaluation():
+    """``rewrite --to opor`` of this word exits 0 with ``max_abs_diff`` 1.63."""
+    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4)))
+    for form in (OPOR, KM, PA):
+        assert max_abs_diff(evaluate(normalize(w, form)), evaluate(w)) <= 1e-12, form

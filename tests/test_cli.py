@@ -449,8 +449,8 @@ MALFORMED_JSON = [
     (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"0": 0.1}}]}, "atoms[0].phase.0"),
     (["rewrite", "--to", "km"], {"n": 2, "atoms": [{"phase": {"3": 0.1}}]}, "atoms[0].phase.3"),
     (["rewrite", "--to", "km"], {"n": 0, "atoms": [{"rot": [1, 2], "theta": 0.1}]}, "n"),
-    # a value its type refuses names the field it was read from
-    (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [3.0]}, "eigen_angles"),
+    # a value its type refuses names the field it was read from, and the element if it is one
+    (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [3.0]}, "eigen_angles[0]"),
     (["build", "--pattern", "2,1"], {**CHART_21, "eigen_angles": [0.3, 0.2]}, "eigen_angles"),
     (
         ["build", "--pattern", "2,1"],
@@ -496,6 +496,28 @@ def test_rewrite_rejects_dimension_above_cap(capsys, tmp_path):
     code, out, err = run(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
     assert_one_line_usage_error(code, err)
     assert str(MAX_DIM) in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_matrix_commands_reject_dimension_above_cap(capsys, tmp_path, command):
+    # a valid input otherwise: the identity, as a unitary and as a density
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(rc.matrix_to_json(np.eye(MAX_DIM + 1) / (1 if command == "decompose" else MAX_DIM + 1))))
+    code, out, err = run(capsys, [command, "--in", str(path)])
+    assert_one_line_usage_error(code, err)
+    assert err == f"error: dimension {MAX_DIM + 1} exceeds the limit of 256\n" and out == ""
+
+
+def test_an_eigen_angle_out_of_range_names_its_element(capsys, tmp_path):
+    chart = rc.prune_equivalence(np.full(9, 0.5), rc.DegeneracyPattern.from_multiplicities([1, 1, 1]), [0.3, 0.2])
+    path = tmp_path / "chart.json"
+    for angles, line in (
+        ([0.3, 2.0], "error: eigen_angles[1]: angle 2.0 outside [0, pi/2]"),
+        ([0.3], "error: eigen_angles: expected 2 angles for 3 classes, got 1"),
+    ):
+        path.write_text(json.dumps({**chart.to_json(), "eigen_angles": angles}))
+        code, out, err = run(capsys, ["build", "--pattern", "1,1,1", "--in", str(path)])
+        assert (code, out, err) == (2, "", line + "\n")
 
 
 @pytest.mark.parametrize("pattern", [",".join(["1"] * (MAX_DIM + 1)), str(10**9)])
