@@ -6,9 +6,11 @@ accepts only the options its command reads.  Input is read from --in
 Randomized actions require an explicit --seed and are fully deterministic
 given one.  Exit codes: 0 ok, 2 usage error, 3 validation failure.
 
-A command imports the modules it reads only once its input is read and its
-options are checked, so ``count``, ``--help`` and a request rejected before
-any array exists never load numpy.
+The CLI reads the library as ``rc.<name>``, through the package's lazy
+exports.  A command binds its input to a local and checks its options before
+it touches any such name (``rc.f(_read_json(args))`` would load f's module
+first), so ``count``, ``--help`` and a request rejected before any array
+exists never load numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 
-from . import degeneracy
+import rhochart as rc
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,16 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _read_json(args):
+def _read_json(args, size=None):
+    """The request's JSON; an integer ``size`` field above MAX_DIM is refused
+    before any decoder reads the rest (any other value is the decoder's to reject)."""
     try:
         if args.infile:
             with open(args.infile) as fh:
-                return json.load(fh)
-        return json.load(sys.stdin)
+                obj = json.load(fh)
+        else:
+            obj = json.load(sys.stdin)
     except RecursionError:
         raise ValueError("input: JSON nests too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"input: {exc}") from None
+    if size and isinstance(obj, dict) and type(obj.get(size)) is int:
+        _check_dim(obj[size])
+    return obj
 
 
 def _emit(args, payload: dict):
@@ -75,19 +83,8 @@ def _rng_from_args(args):
 
 
 def _tol(args) -> float:
-    """``--tol``, or ``numerics.DEFAULT_TOL`` when the request gives none."""
-    from . import numerics
-    return numerics.DEFAULT_TOL if args.tol is None else args.tol
-
-
-def _matrix(args):
-    """The request's matrix; a ``dim`` above MAX_DIM is refused before any array is built."""
-    obj = _read_json(args)
-    dim = obj.get("dim") if isinstance(obj, dict) else None
-    if type(dim) is int:  # any other dim is numerics' to reject
-        _check_dim(dim)
-    from . import numerics
-    return numerics.matrix_from_json(obj)
+    """``--tol``, or ``DEFAULT_TOL`` when the request gives none."""
+    return rc.DEFAULT_TOL if args.tol is None else args.tol
 
 
 def cmd_count(args):
@@ -95,10 +92,10 @@ def cmd_count(args):
     payload = {
         "n": pattern.n,
         "pattern": list(pattern.multiplicities),
-        "degrees_of_degeneracy": degeneracy.degrees_of_degeneracy(pattern),
-        "redundant_params": degeneracy.redundant_params(pattern),
-        "internal_params": degeneracy.internal_params(pattern),
-        "orbit_dim": degeneracy.orbit_dim(pattern),
+        "degrees_of_degeneracy": rc.degrees_of_degeneracy(pattern),
+        "redundant_params": rc.redundant_params(pattern),
+        "internal_params": rc.internal_params(pattern),
+        "orbit_dim": rc.orbit_dim(pattern),
         "chart_param_count": pattern.n**2,
     }
     return payload, EXIT_OK
@@ -110,54 +107,49 @@ def cmd_build(args):
         if args.infile:
             raise ValueError("--in cannot be combined with --random, which reads no chart")
         rng = _rng_from_args(args)
-        from . import builder, numerics
-        chart = builder.random_density_chart(pattern, rng)
+        chart = rc.builder.random_density_chart(pattern, rng)
     else:
         if args.seed is not None:
             raise ValueError("--seed needs --random; a chart read from --in is not sampled")
         obj = _read_json(args)
-        from . import builder, numerics
         mults = list(pattern.multiplicities)
-        obj = {"pattern": mults, **numerics._json(obj, "input", dict)}
+        obj = {"pattern": mults, **rc.numerics._json(obj, "input", dict)}
         # compared before any pattern is built: "pattern": [1000000] would take minutes
-        if numerics._json(obj["pattern"], "pattern", list) != mults:
+        if rc.numerics._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
-        chart = builder.DensityChart.from_json(obj)
-    rho = builder.build_density(chart)
-    report = builder.validate_density(rho, tol=_tol(args))
+        chart = rc.DensityChart.from_json(obj)
+    rho = rc.build_density(chart)
+    report = rc.validate_density(rho, tol=_tol(args))
     payload = {
         "chart": chart.to_json(),
-        "matrix": numerics.matrix_to_json(rho),
+        "matrix": rc.matrix_to_json(rho),
         "validation": report.to_json(),
     }
     return payload, EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_rewrite(args):
-    obj = _read_json(args)
-    from . import numerics, words
-    word = words.word_from_json(obj)
-    _check_dim(word.n)
-    rewritten = words.normalize(word, words.WordForm(args.to))
-    diff = numerics.max_abs_diff(words.evaluate(word), words.evaluate(rewritten))
-    return {"word": words.word_to_json(rewritten), "max_abs_diff": diff}, EXIT_OK
+    obj = _read_json(args, "n")
+    word = rc.word_from_json(obj)
+    rewritten = rc.normalize(word, rc.WordForm(args.to))
+    diff = rc.max_abs_diff(rc.evaluate(word), rc.evaluate(rewritten))
+    return {"word": rc.word_to_json(rewritten), "max_abs_diff": diff}, EXIT_OK
 
 
 def cmd_decompose(args):
-    matrix = _matrix(args)
-    from . import words
-    from .decompose import NotUnitaryError, decompose
+    obj = _read_json(args, "dim")
+    matrix = rc.matrix_from_json(obj)
     try:
-        result = decompose(matrix, tol=_tol(args))
-    except NotUnitaryError as exc:  # a matrix that is not unitary fails validation
+        result = rc.decompose(matrix, tol=_tol(args))
+    except rc.NotUnitaryError as exc:  # a matrix that is not unitary fails validation
         raise _Invalid(str(exc)) from None
-    return {"word": words.word_to_json(result.word), "residual": result.residual}, EXIT_OK
+    return {"word": rc.word_to_json(result.word), "residual": result.residual}, EXIT_OK
 
 
 def cmd_verify(args):
-    matrix = _matrix(args)
-    from . import builder
-    report = builder.validate_density(matrix, tol=_tol(args))
+    obj = _read_json(args, "dim")
+    matrix = rc.matrix_from_json(obj)
+    report = rc.validate_density(matrix, tol=_tol(args))
     return report.to_json(), EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -165,12 +157,11 @@ def cmd_commutant(args):
     if not args.random:
         raise ValueError("commutant only samples; it needs --random and --seed")
     rng = _rng_from_args(args)
-    from . import builder, numerics
-    spec = builder.random_commutant_spec(args.pattern, rng)
-    return numerics.matrix_to_json(builder.build_commutant(spec)), EXIT_OK
+    spec = rc.builder.random_commutant_spec(args.pattern, rng)
+    return rc.matrix_to_json(rc.build_commutant(spec)), EXIT_OK
 
 
-def _pattern(text: str) -> degeneracy.DegeneracyPattern:
+def _pattern(text: str) -> rc.DegeneracyPattern:
     """``--pattern`` value: a multiplicity list such as ``2,1,1``, of size at most MAX_DIM."""
     try:
         mults = [int(part) for part in text.split(",")]
@@ -178,7 +169,7 @@ def _pattern(text: str) -> degeneracy.DegeneracyPattern:
         raise argparse.ArgumentTypeError(f"malformed pattern string: {text!r}") from None
     try:
         _check_dim(sum(mults))  # before the classes of "--pattern 1000000000" fill memory
-        return degeneracy.DegeneracyPattern.from_multiplicities(mults)
+        return rc.DegeneracyPattern.from_multiplicities(mults)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

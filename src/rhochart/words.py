@@ -57,7 +57,8 @@ def _wrap(angle: float, mag: float) -> float:
     """``angle`` reduced into [0, 2*pi), and 0 within ``_WRAP_ULPS`` ulps of
     max(mag, 2*pi) of 0 or 2*pi, ``mag`` being the summed magnitude of the
     terms that produced ``angle``: there it is the residue of a sum that
-    cancels.  No other code reduces a phase mod 2*pi or decides it is 0."""
+    cancels.  No other code decides a phase is 0; :func:`_turn` alone also
+    reduces one, a term of a full turn or more, before the normal forms sum it."""
     wrapped = angle % TWO_PI
     band = _WRAP_ULPS * math.ulp(max(mag, TWO_PI))
     return 0.0 if wrapped < band or TWO_PI - wrapped < band else wrapped
@@ -296,13 +297,18 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
 # normal forms
 
 
+def _turn(x: float) -> float:
+    """``x`` when |x| < 2*pi; otherwise the same angle in [-pi, pi], reduced
+    through sin and cos, whose argument reduction is exact (Payne & Hanek, 1983);
+    ``x % fl(2*pi)`` drifts by about 4e-17 |x|, since fl(2*pi) is not 2*pi."""
+    return math.atan2(math.sin(x), math.cos(x)) if abs(x) >= TWO_PI else x
+
+
 def _reduce_angle(i: int, j: int, theta: float):
     """R_ij(theta) as F_left R(theta') F_right: (left rows, theta', right rows),
     theta' in [0, pi/2] and each flip F a phase of pi on its rows.  An angle in
-    range is kept bit for bit; |theta| >= 2*pi is first reduced through sin and
-    cos, whose argument reduction is exact (Payne & Hanek, 1983)."""
-    if abs(theta) >= TWO_PI:
-        theta = math.atan2(math.sin(theta), math.cos(theta))
+    range is kept bit for bit; a full turn or more is first reduced by :func:`_turn`."""
+    theta = _turn(theta)
     th = theta if 0.0 <= theta <= HALF_PI else _wrap(theta, abs(theta))
     if th <= HALF_PI:
         return (), th, ()
@@ -327,6 +333,7 @@ def _sweep(w: Word):
     for atom in w.atoms:
         if isinstance(atom, PhaseAtom):
             for idx, val in atom.deltas.items():
+                val = _turn(val)
                 phi[idx - 1] += val
                 mag[idx - 1] += abs(val)
             continue
@@ -404,8 +411,8 @@ def normalize(w: Word, target: WordForm) -> Word:
     is kept bit for bit.  A nonempty word with no rotation becomes one diagonal
     in every normal form.  opor is idempotent.  Normalizing a km or phase-adjoint
     result again, or reaching km through the phase-adjoint form, keeps the
-    rotations and phase keys, with phases equal within 1e-14 mod 2*pi.  Phases
-    are reduced as floats, so an input phase d moves the evaluation by ~4e-17 |d|."""
+    rotations and phase keys, with phases equal within 1e-14 mod 2*pi.  An input
+    phase or angle of a full turn or more is reduced exactly, by :func:`_turn`."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:

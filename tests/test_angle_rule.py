@@ -246,13 +246,21 @@ def test_a_large_angle_is_reduced_through_sin_and_cos():
             assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-15, theta
 
 
+def test_a_huge_phase_keeps_the_evaluation():
+    """A phase of a full turn or more is reduced through sin and cos before it
+    is summed; ``% fl(2*pi)`` alone moved this word's evaluation by 1.63."""
+    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4)))
+    for out in (normalize(w, OPOR), normalize(w, KM), normalize(w, PA), range_reduce(w)):
+        assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="words._wrap reduces a phase with % fl(2*pi), whose zero band swallows a phase of 1e300",
+    reason="rewrite_merge_phases and rewrite_pass_through sum raw phases in words._wrapped",
 )
-def test_a_huge_phase_keeps_the_evaluation():
-    """``rewrite --to opor`` of this word exits 0 with ``max_abs_diff`` 1.63."""
+def test_a_huge_phase_keeps_the_local_rewrites():
+    """Both local rewrites move this word's evaluation by 1.63."""
     w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4)))
-    for form in (OPOR, KM, PA):
-        assert max_abs_diff(evaluate(normalize(w, form)), evaluate(w)) <= 1e-12, form
+    for out in (rewrite_merge_phases(w), rewrite_pass_through(w, 0, "right")):
+        assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out

@@ -492,10 +492,12 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, argv):
 
 def test_rewrite_rejects_dimension_above_cap(capsys, tmp_path):
     path = tmp_path / "word.json"
-    path.write_text(json.dumps({"n": MAX_DIM + 1, "atoms": []}))
-    code, out, err = run(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
-    assert_one_line_usage_error(code, err)
-    assert str(MAX_DIM) in err and out == ""
+    # an oversize n is refused before any atom is decoded, so it is named and atoms[0].rot is not
+    for atoms in ([], [{"rot": [1, 999], "theta": 0.1}]):
+        path.write_text(json.dumps({"n": MAX_DIM + 1, "atoms": atoms}))
+        code, out, err = run(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
+        assert_one_line_usage_error(code, err)
+        assert err == f"error: dimension {MAX_DIM + 1} exceeds the limit of 256\n" and out == ""
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify"])
