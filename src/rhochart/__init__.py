@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "words": (
         "PhaseAtom", "RotationAtom", "Word", "WordForm", "count_phases", "evaluate",
-        "make_opor_chart", "make_phase_adjoint_chart", "normalize", "range_reduce",
-        "rewrite_merge_phases", "rewrite_pass_through", "word_from_json", "word_to_json",
+        "make_opor_chart", "make_phase_adjoint_chart", "normalize", "rewrite_merge_phases",
+        "rewrite_pass_through", "word_from_json", "word_to_json",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,9 +28,9 @@ support, diag(a, b) R = diag(a/b, 1) R diag(b, b), so a common phase commutes
 and a phase difference stays behind on one side.  Normalization composes
 these moves in closed form and is exact up to floating-point phase sums.
 
-One angle rule: every phase a rewrite emits is reduced by :func:`_wrap` into
-[0, 2*pi), and it is 0 when it lies within a few ulps of 0 or 2*pi, measured
-against the summed magnitude of the terms that produced it.
+One angle rule: every phase term a rewrite sums enters through :func:`_turn`,
+and every phase it emits leaves through :func:`_wrap`, into [0, 2*pi) and 0 within
+a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _wrap(angle: float, mag: float) -> float:
     max(mag, 2*pi) of 0 or 2*pi, ``mag`` being the summed magnitude of the
     terms that produced ``angle``: there it is the residue of a sum that
     cancels.  No other code decides a phase is 0; :func:`_turn` alone also
-    reduces one, a term of a full turn or more, before the normal forms sum it."""
+    reduces one, a term of a full turn or more, before any rewrite sums it."""
     wrapped = angle % TWO_PI
     band = _WRAP_ULPS * math.ulp(max(mag, TWO_PI))
     return 0.0 if wrapped < band or TWO_PI - wrapped < band else wrapped
@@ -196,12 +196,12 @@ def opor_word(n: int, blocks, trailing=None) -> Word:
 
 def _phase_adjoint_word(n: int, blocks, trailing) -> Word:
     """Render blocks ``(label, psi, theta)`` as P_a(psi) R_ab(theta) P_a(-psi) ...,
-    closed by the diagonal of ``trailing``; each -psi is wrapped."""
+    closed by the diagonal of ``trailing``; each -psi is turned and wrapped."""
     atoms: list[Atom] = []
     for (a, b), psi, theta in blocks:
         atoms.append(PhaseAtom({a: psi}))
         atoms.append(RotationAtom(min(a, b), max(a, b), theta))
-        atoms.append(PhaseAtom({a: _wrap(-psi, abs(psi))}))
+        atoms.append(PhaseAtom({a: _wrap(-_turn(psi), abs(_turn(psi)))}))
     atoms.append(_diagonal(trailing))
     return Word(n=n, atoms=tuple(atoms))
 
@@ -235,10 +235,8 @@ def rewrite_merge_phases(w: Word) -> Word:
     past rotations, in one left-to-right pass.  The last output atom, when a
     phase, is the diagonal still moving right: the next phase merges into it
     and a rotation whose support misses it goes in front of it.  Evaluation is
-    unchanged.  Merged angles are summed and wrapped, and a diagonal that
-    merged with nothing is wrapped at the end; zero angles and empty
-    diagonals are dropped.
-    """
+    unchanged.  Every diagonal, merged or not, is summed by :func:`_wrapped`;
+    zero angles and empty diagonals are dropped."""
     atoms: list[Atom] = []
     for atom in w.atoms:
         diag = atoms[-1] if atoms and isinstance(atoms[-1], PhaseAtom) else None
@@ -248,18 +246,20 @@ def rewrite_merge_phases(w: Word) -> Word:
             disjoint = {atom.i, atom.j}.isdisjoint(diag.deltas)
             atoms.insert(len(atoms) - 1 if disjoint else len(atoms), atom)
         else:
-            terms = {idx: [val] for idx, val in diag.deltas.items()}
-            for idx, val in atom.deltas.items():
-                terms.setdefault(idx, []).append(val)
-            merged = _wrapped(terms)
+            merged = _wrapped(diag.deltas, atom.deltas)
             atoms[-1:] = [merged] if merged.deltas else []
-    out = (a if isinstance(a, RotationAtom) else _wrapped({k: [v] for k, v in a.deltas.items()})
-           for a in atoms)
+    out = (a if isinstance(a, RotationAtom) else _wrapped(a.deltas) for a in atoms)
     return Word(n=w.n, atoms=tuple(a for a in out if isinstance(a, RotationAtom) or a.deltas))
 
 
-def _wrapped(terms) -> PhaseAtom:
-    """Phase atom of each index's wrapped sum of ``terms``, zero sums dropped."""
+def _wrapped(*diagonals) -> PhaseAtom:
+    """Phase atom of each index's sum over the ``diagonals`` (index -> angle), zero
+    sums dropped: every term enters through :func:`_turn`, and the ``math.fsum`` of
+    an index's terms leaves through :func:`_wrap`, against the fsum of their magnitudes."""
+    terms: dict[int, list[float]] = {}
+    for diagonal in diagonals:
+        for k, v in diagonal.items():
+            terms.setdefault(k, []).append(_turn(v))
     sums = {k: _wrap(math.fsum(ts), math.fsum(map(abs, ts))) for k, ts in terms.items()}
     return PhaseAtom({k: v for k, v in sums.items() if v})
 
@@ -283,9 +283,9 @@ def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
         raise ValueError(f"no rotation to the {direction} of position {at}")
     phase, rot = atoms[at], atoms[r]
     dj = phase.deltas.get(rot.j, 0.0)
-    passed = {k: [v] for k, v in phase.deltas.items() if k not in (rot.i, rot.j)}
-    passed[rot.i] = passed[rot.j] = [dj]
-    moved = (_wrapped({rot.i: [phase.deltas.get(rot.i, 0.0), -dj]}), rot, _wrapped(passed))
+    passed = {k: v for k, v in phase.deltas.items() if k not in (rot.i, rot.j)}
+    passed[rot.i] = passed[rot.j] = dj
+    moved = (_wrapped({rot.i: phase.deltas.get(rot.i, 0.0)}, {rot.i: -dj}), rot, _wrapped(passed))
     out = [a for a in moved if not isinstance(a, PhaseAtom) or a.deltas]
     if direction == "left":
         out.reverse()
@@ -412,7 +412,8 @@ def normalize(w: Word, target: WordForm) -> Word:
     in every normal form.  opor is idempotent.  Normalizing a km or phase-adjoint
     result again, or reaching km through the phase-adjoint form, keeps the
     rotations and phase keys, with phases equal within 1e-14 mod 2*pi.  An input
-    phase or angle of a full turn or more is reduced exactly, by :func:`_turn`."""
+    phase or angle of a full turn or more is reduced exactly, by :func:`_turn`, as
+    in the local rewrites; opor is the one range reduction (``range_reduce``)."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
@@ -425,9 +426,10 @@ def normalize(w: Word, target: WordForm) -> Word:
 
 
 def range_reduce(w: Word) -> Word:
-    """The opor form of ``w``: angles in [0, pi/2] and phases in [0, 2*pi), as
-    in every normal form.  Idempotent; a word and its opor form reduce alike."""
-    return opor_word(w.n, *_sweep(w)) if w.atoms else w
+    """``normalize(w, WordForm.ONE_PHASE_ONE_ROTATION)`` under its earlier name.  Not
+    exported; it stays in this module only because the benchmark's factor-rewrite
+    workload, its tracer and ``BENCHMARK.json`` name it, and goes with them."""
+    return normalize(w, WordForm.ONE_PHASE_ONE_ROTATION)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +442,8 @@ def _single_on(phase: PhaseAtom, rot: RotationAtom) -> bool:
 
 def _conjugates(left: PhaseAtom, rot: RotationAtom, right: PhaseAtom) -> bool:
     """``left rot right`` is P_a(x) R P_a(-x) on one of the rotation's indices."""
-    if not (_single_on(left, rot) and _single_on(right, rot)):
-        return False
-    (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
-    return li == ri and _wrap(lv + rv, abs(lv) + abs(rv)) == 0.0
+    same = _single_on(left, rot) and left.deltas.keys() == right.deltas.keys()
+    return same and not _wrapped(left.deltas, right.deltas).deltas
 
 
 def _parse_form(w: Word) -> tuple[WordForm, int, int]:

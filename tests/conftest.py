@@ -14,7 +14,7 @@ from rhochart.charts import EigenChart, class_masses, spread
 from rhochart.decompose import ELIM_EPS, DecompositionResult
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
 from rhochart.numerics import adjoint, max_abs_diff
-from rhochart.words import PhaseAtom, RotationAtom, Word, WordForm, _wrap
+from rhochart.words import PhaseAtom, RotationAtom, Word, WordForm, _turn, _wrap
 from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 
 TWO_PI = 2.0 * np.pi
@@ -196,6 +196,11 @@ def rho_frame_jacobian(c, include_eigen=False):
 # restart-until-stable reference for the one-pass ``rewrite_merge_phases``
 
 
+def _turned(deltas):
+    """``deltas`` with each angle reduced by ``_turn``, as every rewrite takes a term."""
+    return {idx: _turn(val) for idx, val in deltas.items()}
+
+
 def _wrapped_phase(sums, mags):
     """Phase atom of the sums reduced by ``_wrap``, zero angles dropped."""
     wrapped = {idx: _wrap(val, mags[idx]) for idx, val in sums.items()}
@@ -205,7 +210,8 @@ def _wrapped_phase(sums, mags):
 def fixed_point_merge(w):
     """Merge adjacent diagonals and swap support-disjoint diagonals rightward
     past rotations, restarting the scan until no move applies; then wrap the
-    diagonals that merged with nothing and drop empty ones."""
+    diagonals that merged with nothing and drop empty ones.  Each term is
+    reduced by ``_turn`` before it is added or wrapped."""
     atoms = list(w.atoms)
     changed = True
     while changed:
@@ -214,8 +220,9 @@ def fixed_point_merge(w):
         while k + 1 < len(atoms):
             a, b = atoms[k], atoms[k + 1]
             if isinstance(a, PhaseAtom) and isinstance(b, PhaseAtom):
-                merged, mags = dict(a.deltas), {idx: abs(val) for idx, val in a.deltas.items()}
-                for idx, val in b.deltas.items():
+                merged = _turned(a.deltas)
+                mags = {idx: abs(val) for idx, val in merged.items()}
+                for idx, val in _turned(b.deltas).items():
                     merged[idx] = merged.get(idx, 0.0) + val
                     mags[idx] = mags.get(idx, 0.0) + abs(val)
                 merged = _wrapped_phase(merged, mags)
@@ -233,7 +240,8 @@ def fixed_point_merge(w):
             k += 1
     for k, a in enumerate(atoms):
         if isinstance(a, PhaseAtom):
-            atoms[k] = _wrapped_phase(a.deltas, {idx: abs(val) for idx, val in a.deltas.items()})
+            turned = _turned(a.deltas)
+            atoms[k] = _wrapped_phase(turned, {idx: abs(val) for idx, val in turned.items()})
     return Word(n=w.n, atoms=tuple(a for a in atoms if isinstance(a, RotationAtom) or a.deltas))
 
 
@@ -271,7 +279,7 @@ def _is_phase_adjoint(w):
         left, rot, right = atoms[k], atoms[k + 1], atoms[k + 2]
         if not (_is_single_phase_on(left, rot) and _is_single_phase_on(right, rot)):
             return False
-        (li, lv), (ri, rv) = next(iter(left.deltas.items())), next(iter(right.deltas.items()))
+        (li, lv), (ri, rv) = (next(iter(_turned(p.deltas).items())) for p in (left, right))
         if li != ri or _wrap(lv + rv, abs(lv) + abs(rv)) != 0.0:
             return False
     return True

@@ -19,6 +19,7 @@ from rhochart.words import (
     WordForm,
     evaluate,
     make_opor_chart,
+    make_phase_adjoint_chart,
     normalize,
     range_reduce,
     rewrite_merge_phases,
@@ -254,13 +255,30 @@ def test_a_huge_phase_keeps_the_evaluation():
         assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="rewrite_merge_phases and rewrite_pass_through sum raw phases in words._wrapped",
-)
+def test_a_huge_phase_keeps_the_phase_adjoint_chart():
+    """The chart's closing -psi is reduced by ``_turn`` before it is wrapped; wrapped
+    raw, -1e300 fell in the zero band and the chart was P(psi) R P(0), 1.63 away."""
+    chart = make_phase_adjoint_chart(2, [1e300, 0.4, 0.0, 0.0])
+    dressed = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4), PhaseAtom({1: -1e300})))
+    assert max_abs_diff(evaluate(chart), evaluate(dressed)) <= 1e-12
+
+
 def test_a_huge_phase_keeps_the_local_rewrites():
-    """Both local rewrites move this word's evaluation by 1.63."""
-    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4)))
-    for out in (rewrite_merge_phases(w), rewrite_pass_through(w, 0, "right")):
-        assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out
+    """The local rewrites take each phase term through sin and cos before they sum
+    it; raw sums reduced by ``% fl(2*pi)`` moved the first word's evaluation by 1.63
+    in both rewrites."""
+    rot = RotationAtom(1, 2, 0.4)
+    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), rot))
+    left = Word(n=2, atoms=(rot, PhaseAtom({1: 1e300, 2: -1e12})))
+    huge = (PhaseAtom({1: 1e300, 2: -1e12}), PhaseAtom({1: -3e299, 2: 1e12, 3: 7e200}))
+    two = Word(n=3, atoms=(*huge, rot))
+    merged = rewrite_merge_phases(two)
+    assert [type(a) for a in merged.atoms] == [PhaseAtom, RotationAtom]  # the diagonals merged
+    checks = [
+        (w, rewrite_merge_phases(w)),
+        (w, rewrite_pass_through(w, 0, "right")),
+        (left, rewrite_pass_through(left, 1, "left")),
+        (two, merged),
+    ]
+    for word, out in checks:
+        assert max_abs_diff(evaluate(out), evaluate(word)) <= 1e-12, out

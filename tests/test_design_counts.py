@@ -25,9 +25,9 @@ def settable_values():
     ]
 
 
-def test_the_package_exports_45_names():
+def test_the_package_exports_44_names():
     names = exported_names()
-    assert len(names) == len(set(names)) == 45, names
+    assert len(names) == len(set(names)) == 44, names
     modules = [name for name in names if isinstance(getattr(rhochart, name), types.ModuleType)]
     assert modules == [], modules
 

@@ -85,6 +85,8 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
     (tmp_path / "not.json").write_text("not json")
     (tmp_path / "word.json").write_text('{"n": 2, "atoms": []}')
     (tmp_path / "rho.json").write_text('{"dim": 1, "entries": [[1.0, 0.0]]}')
+    (tmp_path / "big-word.json").write_text('{"n": 257, "atoms": [{"rot": [1, 999], "theta": 0.1}]}')
+    (tmp_path / "big-matrix.json").write_text('{"dim": 257, "entries": []}')
     requests = [
         ["count", "--pattern", "2,1,1"],
         ["--help"],
@@ -94,9 +96,13 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         ["build", "--pattern", "2,1", "--random"],
         ["verify", "--tol", "-1", "--in", str(tmp_path / "rho.json")],
         ["rewrite", "--in", str(tmp_path / "word.json")],
+        # above the size bound: refused before the word or matrix is decoded
+        ["rewrite", "--to", "km", "--in", str(tmp_path / "big-word.json")],
+        ["decompose", "--in", str(tmp_path / "big-matrix.json")],
+        ["verify", "--in", str(tmp_path / "big-matrix.json")],
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
-    assert [code for code, _, _ in blocked] == [0, 0, 2, 2, 2, 2, 2, 2]
+    assert [code for code, _, _ in blocked] == [0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2]
     assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy"]
     # byte for byte what the same requests print with every module already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -700,6 +702,15 @@ def test_value_types_copy_what_they_are_given():
     assert type(Word(2, [atom]).atoms) is tuple
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason="PhaseAtom.deltas is a live dict")
+def test_a_validated_word_refuses_a_new_phase_entry():
+    """Accepted, the entry below made ``evaluate`` raise IndexError and
+    ``word_to_json`` write a bare NaN, which is not strict JSON."""
+    w = Word(n=2, atoms=(PhaseAtom({1: 0.3}), RotationAtom(1, 2, 0.4)))
+    with pytest.raises(TypeError):
+        w.atoms[0].deltas[5] = float("nan")
+
+
 def test_atoms_compare_by_value():
     assert PhaseAtom({1: 0.3}) == PhaseAtom({1: 0.3})
     assert PhaseAtom({1: 0.3}) != PhaseAtom({1: 0.3, 2: 0.0})
@@ -783,3 +794,56 @@ def test_conjugating_phase_on_two_indices_is_not_phase_adjoint(left, right):
 def test_word_dimension_must_be_a_positive_integer(n):
     with pytest.raises(ValueError, match="n must be a positive integer"):
         Word(n=n, atoms=())
+
+
+# golden digest: every rewrite of words whose phases and angles lie in (-2*pi, 2*pi)
+
+#: (outputs, sha256) of the corpus's rewrites, computed before the local rewrites
+#: reduced each phase term by ``_turn``, which changes no angle below a full turn
+GOLDEN_REWRITES = (5456, "5f6530d05dd8c5f6e56355222c8d9ae5ab916695948540366ae98605e12b71c6")
+
+
+def golden_corpus():
+    """100 words for each n = 2..8, every phase and angle in (-2*pi, 2*pi) and a
+    quarter of them at 0, pi/2, pi or -pi/2, drawn by the standard library."""
+    rng = random.Random(31)
+
+    def angle():
+        return rng.choice(EDGE_ANGLES) if rng.random() < 0.25 else rng.uniform(-TWO_PI, TWO_PI)
+
+    for n in range(2, 9):
+        for _ in range(100):
+            atoms = []
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.5:
+                    i, j = sorted(rng.sample(range(1, n + 1), 2))
+                    atoms.append(RotationAtom(i, j, angle()))
+                else:
+                    atoms.append(PhaseAtom({k: angle() for k in range(1, n + 1) if rng.random() < 0.6}))
+            yield Word(n=n, atoms=tuple(atoms))
+
+
+def every_rewrite(w):
+    """Both local rewrites, passes at every legal position, the three normal forms
+    and ``words.range_reduce``."""
+    yield rewrite_merge_phases(w)
+    for at, atom in enumerate(w.atoms):
+        if isinstance(atom, PhaseAtom):
+            for direction, r in (("left", at - 1), ("right", at + 1)):
+                if 0 <= r < len(w.atoms) and isinstance(w.atoms[r], RotationAtom):
+                    yield rewrite_pass_through(w, at, direction)
+    for form in (OPOR, WordForm.PHASE_ADJOINT, WordForm.KM):
+        yield normalize(w, form)
+    yield range_reduce(w)
+
+
+def test_rewrites_match_the_golden_digest():
+    """The JSON and the form of every rewrite of the corpus, byte for byte."""
+    digest, outputs = hashlib.sha256(), 0
+    for w in golden_corpus():
+        values = [v for a in w.atoms for v in ([a.theta] if isinstance(a, RotationAtom) else a.deltas.values())]
+        assert all(abs(v) < TWO_PI for v in values)
+        for out in every_rewrite(w):
+            digest.update(f"{json.dumps(word_to_json(out))} {classify_form(out).value}\n".encode())
+            outputs += 1
+    assert (outputs, digest.hexdigest()) == GOLDEN_REWRITES
