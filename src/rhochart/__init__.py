@@ -9,7 +9,9 @@ decomposition of arbitrary unitaries, and a JSON CLI.
 Importing the package loads none of its modules: each exported name, and
 each module read as an attribute, loads on first use (PEP 562).  So
 ``import rhochart`` and the counting formulas of :mod:`rhochart.degeneracy`
-never load numpy.
+never load numpy.  Nor do the word algebra of :mod:`rhochart.words`, short of
+:func:`evaluate`, and the JSON reading rules of :mod:`rhochart.jsonio`; numpy
+loads with the first array.
 """
 
 import sys
@@ -19,8 +21,8 @@ from importlib import import_module
 #: exported names by home module
 _EXPORTS = {
     "builder": (
-        "BlockParam", "CommutantSpec", "DensityChart", "DensityReport", "build_commutant",
-        "build_density", "jacobian_rank", "kept_word", "prune_equivalence", "validate_density",
+        "BlockParam", "CommutantSpec", "DensityChart", "build_commutant", "build_density",
+        "jacobian_rank", "kept_word", "prune_equivalence",
     ),
     "charts": ("EigenChart", "eigen_matrix", "eigenvalues", "fit_chart"),
     "decompose": ("DecompositionResult", "NotUnitaryError", "decompose"),
@@ -28,9 +30,10 @@ _EXPORTS = {
         "DegeneracyPattern", "all_partitions", "canonical_order", "degrees_of_degeneracy",
         "internal_params", "orbit_dim", "redundant_params",
     ),
+    "jsonio": ("matrix_from_json",),
     "numerics": (
-        "DEFAULT_TOL", "adjoint", "haar_unitary", "is_unitary", "matrix_from_json",
-        "matrix_to_json", "max_abs_diff",
+        "DEFAULT_TOL", "DensityReport", "adjoint", "haar_unitary", "is_unitary", "matrix_to_json",
+        "max_abs_diff", "validate_density",
     ),
     "words": (
         "PhaseAtom", "RotationAtom", "Word", "WordForm", "count_phases", "evaluate",

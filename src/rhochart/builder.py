@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .numerics import _built, _json
-from .words import HALF_PI, TWO_PI, Word, _split_chart_params, evaluate, opor_word
-from .words import phase_row, rotate_rows
+from .jsonio import HALF_PI, TWO_PI, _built, _json
+from .numerics import DensityReport, validate_density  # the benchmark times builder.validate_density
+from .words import Word, _split_chart_params, evaluate, opor_word, phase_row, rotate_rows
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
@@ -241,42 +241,6 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     _require_interior(c)
     sv = np.linalg.svd(_jacobian(c, include_eigen), compute_uv=False)
     return int(np.sum(sv > SVD_THRESHOLD * sv.max(initial=0.0)))
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    hermiticity_error: float
-    trace_error: float
-    min_eigenvalue: float
-    tol: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        report = asdict(self)  # strict JSON: a check that is not finite reads null
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
-
-
-def validate_density(m: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> DensityReport:
-    """Check the defining conditions: hermiticity, unit trace, no negative
-    eigenvalue beyond ``tol``.  A check that overflows to inf or NaN fails."""
-    m = numerics.as_matrix(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm = numerics.max_abs_diff(m, numerics.adjoint(m))
-        trace = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-        sym = (m + numerics.adjoint(m)) / 2.0
-    min_eig = float(np.min(np.linalg.eigvalsh(sym))) if np.isfinite(sym).all() else math.nan
-    passed = herm <= tol and trace <= tol and min_eig >= -tol
-    return DensityReport(
-        hermiticity_error=herm,
-        trace_error=trace,
-        min_eigenvalue=min_eig,
-        tol=tol,
-        passed=passed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyPattern
-from .numerics import HALF_PI
+from .jsonio import HALF_PI
 
 FIT_TOL = 1e-9
 

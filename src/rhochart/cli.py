@@ -10,7 +10,8 @@ The CLI reads the library as ``rc.<name>``, through the package's lazy
 exports.  A command binds its input to a local and checks its options before
 it touches any such name (``rc.f(_read_json(args))`` would load f's module
 first), so ``count``, ``--help`` and a request rejected before any array
-exists never load numpy.
+exists never load numpy; that includes a word or matrix its decoder refuses.
+``verify`` loads only the dense-matrix layer, :mod:`rhochart.numerics`.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def cmd_build(args):
             raise ValueError("--seed needs --random; a chart read from --in is not sampled")
         obj = _read_json(args)
         mults = list(pattern.multiplicities)
-        obj = {"pattern": mults, **rc.numerics._json(obj, "input", dict)}
+        obj = {"pattern": mults, **rc.jsonio._json(obj, "input", dict)}
         # compared before any pattern is built: "pattern": [1000000] would take minutes
-        if rc.numerics._json(obj["pattern"], "pattern", list) != mults:
+        if rc.jsonio._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
         chart = rc.DensityChart.from_json(obj)
     rho = rc.build_density(chart)

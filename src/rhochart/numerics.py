@@ -1,22 +1,23 @@
-"""Dense complex matrix helpers shared by the rest of the package.
+"""Dense-matrix helpers, density validation and the matrix JSON format.
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
-Sizes reach n = 256, where an O(n^3) product per atom would dominate, so word
-products run on the in-place row kernel of :mod:`rhochart.words` instead.
-Equality is always tolerance-based via :func:`max_abs_diff`.
+Equality is always tolerance-based via :func:`max_abs_diff`.  Word products run
+on the row kernel of :mod:`rhochart.words`, not here.  The decoder
+:func:`matrix_from_json` lives in numpy-free :mod:`rhochart.jsonio` and is bound
+here too, so ``verify`` loads this module and nothing else that needs numpy.
 """
 
 from __future__ import annotations
 
-import sys
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .jsonio import matrix_from_json  # numpy-free; the benchmark reads it as numerics.matrix_from_json
+
 #: library-wide default comparison tolerance, overridable per call
 DEFAULT_TOL = 1e-10
-
-TWO_PI = 2.0 * np.pi
-HALF_PI = np.pi / 2
 
 
 def as_matrix(values) -> np.ndarray:
@@ -53,6 +54,38 @@ def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return max_abs_diff(a @ adjoint(a), np.eye(a.shape[0])) <= tol
 
 
+@dataclass(frozen=True)
+class DensityReport:
+    hermiticity_error: float
+    trace_error: float
+    min_eigenvalue: float
+    tol: float
+    passed: bool
+
+    def to_json(self) -> dict:
+        report = asdict(self)  # strict JSON: a check that is not finite reads null
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
+
+
+def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityReport:
+    """Check the defining conditions: hermiticity, unit trace, no negative
+    eigenvalue beyond ``tol``.  A check that overflows to inf or NaN fails."""
+    m = as_matrix(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = max_abs_diff(m, adjoint(m))
+        trace = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
+        sym = (m + adjoint(m)) / 2.0
+    min_eig = float(np.min(np.linalg.eigvalsh(sym))) if np.isfinite(sym).all() else math.nan
+    passed = herm <= tol and trace <= tol and min_eig >= -tol
+    return DensityReport(
+        hermiticity_error=herm,
+        trace_error=trace,
+        min_eigenvalue=min_eig,
+        tol=tol,
+        passed=passed,
+    )
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary from a QR-orthonormalized complex Gaussian matrix."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
@@ -67,44 +100,3 @@ def matrix_to_json(m: np.ndarray) -> dict:
     n = m.shape[0]
     entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return {"dim": n, "entries": entries}
-
-
-def _json(value, path: str, kind):
-    """``value`` read at JSON ``path`` as ``kind``: int, float, list, dict, ``[kind]`` (a list
-    of ``kind``) or a tuple of kinds (a list of exactly those).  A bool is never a number; a
-    float is an int or float finite as a float, returned as a float.  Anything else is a
-    ``ValueError`` naming ``path``, the one way a decoder rejects its input."""
-    if isinstance(kind, (list, tuple)):
-        items = _json(value, path, list)
-        kinds = kind * len(items) if isinstance(kind, list) else kind
-        if len(items) != len(kinds):
-            raise ValueError(f"{path}: expected {len(kinds)} values, got {len(items)}")
-        return [_json(v, f"{path}[{k}]", t) for k, (v, t) in enumerate(zip(items, kinds))]
-    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
-        if kind is not float:
-            return value
-        if abs(value) <= sys.float_info.max:  # exact for an int; false for nan
-            return float(value)
-    text = repr(value) if value is None or isinstance(value, (int, float, str)) else ""
-    shown = text if 0 < len(text) <= 40 else type(value).__name__
-    names = {int: "an integer", float: "a finite number", list: "a list", dict: "an object"}
-    raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
-
-
-def _built(path: str, make, *args):
-    """``make(*args)``, a ``ValueError`` prefixed with the JSON ``path`` its arguments came from."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    obj = _json(obj, "input", dict)
-    n, entries = _json(obj.get("dim"), "dim", int), _json(obj.get("entries"), "entries", list)
-    if n < 1:
-        raise ValueError(f"dim: expected a positive integer, got {n}")
-    if len(entries) != n * n:
-        raise ValueError(f"entries: expected {n * n} [re, im] pairs, got {len(entries)}")
-    flat = [complex(*_json(pair, f"entries[{k}]", (float, float))) for k, pair in enumerate(entries)]
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(n, n))

@@ -31,6 +31,10 @@ these moves in closed form and is exact up to floating-point phase sums.
 One angle rule: every phase term a rewrite sums enters through :func:`_turn`,
 and every phase it emits leaves through :func:`_wrap`, into [0, 2*pi) and 0 within
 a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
+
+Loading this module loads no numpy: decoding, rewriting, normal forms, form
+recognition and encoding run on the standard library, and :func:`evaluate`
+loads numpy on its first call.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .numerics import HALF_PI, TWO_PI, _json
+from .jsonio import HALF_PI, TWO_PI, _json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Width of _wrap's zero band, in ulps of max(mag, 2*pi).  On 3320 seeded opor
 # charts (n = 2..32, half their phases 0, with and without 2*pi*m offsets),
@@ -137,9 +142,11 @@ def rotate_rows(re: np.ndarray, i: int, j: int, theta: float) -> None:
     """In place ``V <- R^T V`` on ``re = V.view(np.float64)``, R the rotation (i, j, theta)."""
     c, s = math.cos(theta), math.sin(theta)
     row_i, row_j = re[i - 1], re[j - 1]
-    s_i, s_j = np.multiply(row_i, s), np.multiply(row_j, s)
-    np.subtract(np.multiply(row_i, c, out=row_i), s_j, out=row_i)
-    np.add(s_i, np.multiply(row_j, c, out=row_j), out=row_j)
+    s_i, s_j = row_i * s, row_j * s
+    row_i *= c
+    row_i -= s_j
+    row_j *= c
+    row_j += s_i
 
 
 def phase_row(v: np.ndarray, k: int, delta: float) -> None:
@@ -151,6 +158,8 @@ def phase_row(v: np.ndarray, k: int, delta: float) -> None:
 def evaluate(w: Word) -> np.ndarray:
     """Product of the atoms in listed order (identity when empty), C-contiguous; its
     values are the complex column product's, but an exact zero may carry either sign."""
+    import numpy as np  # here, not at the top: the rest of the word algebra runs without it
+
     v = np.eye(w.n, dtype=np.complex128)
     re = v.view(np.float64)
     for atom in w.atoms:

@@ -1,6 +1,7 @@
 """``import rhochart`` loads no submodule, each exported name loads its home module
-on first use, and a CLI request that fails before any array exists, ``count`` and
-``--help`` never load numpy.  Load order matters here, so most checks run in a
+on first use, a CLI request that fails before any array exists, ``count``, ``--help``
+and the word algebra short of ``evaluate`` never load numpy, and ``verify`` loads
+only the dense-matrix layer.  Load order matters here, so most checks run in a
 fresh interpreter."""
 
 import importlib
@@ -87,6 +88,16 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
     (tmp_path / "rho.json").write_text('{"dim": 1, "entries": [[1.0, 0.0]]}')
     (tmp_path / "big-word.json").write_text('{"n": 257, "atoms": [{"rot": [1, 999], "theta": 0.1}]}')
     (tmp_path / "big-matrix.json").write_text('{"dim": 257, "entries": []}')
+    # refused by the word or matrix decoder, as the benchmark's cli-cold workload sends them
+    refused = {
+        "bool-dim.json": '{"dim": true, "entries": [[1.0, 0.0]]}',
+        "no-entries.json": '{"dim": 2}',
+        "int-entries.json": '{"dim": 2, "entries": 5}',
+        "str-n.json": '{"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}',
+        "null-atoms.json": '{"n": 2, "atoms": null}',
+    }
+    for name, text in refused.items():
+        (tmp_path / name).write_text(text)
     requests = [
         ["count", "--pattern", "2,1,1"],
         ["--help"],
@@ -100,12 +111,48 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         ["rewrite", "--to", "km", "--in", str(tmp_path / "big-word.json")],
         ["decompose", "--in", str(tmp_path / "big-matrix.json")],
         ["verify", "--in", str(tmp_path / "big-matrix.json")],
+        ["decompose", "--in", str(tmp_path / "bool-dim.json")],
+        ["decompose", "--in", str(tmp_path / "no-entries.json")],
+        ["verify", "--in", str(tmp_path / "int-entries.json")],
+        ["rewrite", "--to", "km", "--in", str(tmp_path / "str-n.json")],
+        ["rewrite", "--to", "opor", "--in", str(tmp_path / "null-atoms.json")],
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
-    assert [code for code, _, _ in blocked] == [0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2]
-    assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy"]
+    assert [code for code, _, _ in blocked] == [0, 0] + [2] * 14
+    assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
     # byte for byte what the same requests print with every module already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_verify_loads_only_the_dense_matrix_layer(tmp_path):
+    (tmp_path / "rho.json").write_text('{"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}')
+    requests = [["verify", "--in", str(tmp_path / "rho.json")]]
+    results, loaded = run_requests("", requests)
+    assert [code for code, _, _ in results] == [0]
+    assert loaded == ["rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
+    assert results == run_requests(EVERY_MODULE, requests)[0]
+
+
+#: the word algebra end to end on one word: decode, the three normal forms, both
+#: local rewrites, form recognition, phase counts and encoding
+WORD_ALGEBRA = """
+import json
+from rhochart import words as w
+word = w.word_from_json({"n": 3, "atoms": [
+    {"phase": {"1": 0.3, "3": 7.5}}, {"rot": [1, 3], "theta": 2.0},
+    {"phase": {"2": -1.25}}, {"rot": [2, 3], "theta": -0.4}, {"phase": {"1": 1e300}}]})
+outs = [w.normalize(word, form) for form in w.WordForm if form is not w.WordForm.GENERAL]
+outs += [w.rewrite_merge_phases(word), w.rewrite_pass_through(word, 0), w.rewrite_pass_through(word, 2, "left")]
+print(json.dumps([[w.word_to_json(out), w.classify_form(out).value] for out in outs]))
+print(json.dumps([w.count_phases(out) for out in outs[:3]]))
+"""
+
+
+def test_the_word_algebra_runs_without_numpy():
+    blocked = run_python("-c", f"{NO_NUMPY}\n{WORD_ALGEBRA}")
+    assert blocked.returncode == 0 and blocked.stderr == b"", blocked.stderr.decode()
+    # byte for byte what it prints with numpy and every module already loaded
+    assert blocked.stdout == run_python("-c", f"{EVERY_MODULE}\n{WORD_ALGEBRA}").stdout
 
 
 def test_parameter_counts_runs_without_numpy():
