@@ -12,11 +12,20 @@ it touches any such name (``rc.f(_read_json(args))`` would load f's module
 first), so ``count``, ``--help`` and a request rejected before any array
 exists never load numpy; that includes a word or matrix its decoder refuses.
 ``verify`` loads only the dense-matrix layer, :mod:`rhochart.numerics`.
+
+A process runs its one request through :func:`run`, the entry of both
+``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
+collector off and the heap frozen before shutdown: no collection runs while
+numpy imports, and the full collections of shutdown skip numpy's objects.
+:func:`main` called in-process does neither.  A stdin or stdout closed when the
+process started is a usage error (``error: input: …``, ``error: output: …``);
+a closed stderr loses the ``error:`` line, never the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -49,6 +58,8 @@ def _read_json(args, size=None):
         if args.infile:
             with open(args.infile) as fh:
                 obj = json.load(fh)
+        elif sys.stdin is None:  # fd 0 was closed when the process started
+            raise ValueError("input: standard input is closed")
         else:
             obj = json.load(sys.stdin)
     except RecursionError:
@@ -65,6 +76,8 @@ def _emit(args, payload: dict):
     if args.outfile:
         with open(args.outfile, "w") as fh:
             fh.write(text + "\n")
+    elif sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValueError("output: standard output is closed")
     else:
         sys.stdout.write(text + "\n")
 
@@ -248,9 +261,22 @@ def main(argv=None) -> int:
         _emit(args, payload)
         return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION if isinstance(exc, _Invalid) else EXIT_USAGE
+        code = EXIT_VALIDATION if isinstance(exc, _Invalid) else EXIT_USAGE
+        try:
+            sys.stderr.write(f"error: {exc}\n")
+        except (AttributeError, OSError):  # stderr is closed: the exit code still tells
+            pass
+        return code
+
+
+def run() -> int:
+    """Process entry: :func:`main` with the collector off, the heap frozen after it."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

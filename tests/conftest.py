@@ -21,11 +21,15 @@ TWO_PI = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args, stdin=b""):
+def run_python(*args, stdin=b"", closed_fd=None):
     """``python -W error::RuntimeWarning args`` in a fresh interpreter from the checkout
-    root, with its ``src/`` as the only ``PYTHONPATH``; stdout and stderr as bytes."""
+    root, with its ``src/`` as the only ``PYTHONPATH``; stdout and stderr as bytes.
+    With ``closed_fd`` (0, 1 or 2) a shell closes that descriptor before python starts."""
+    command = [sys.executable, "-W", "error::RuntimeWarning", *args]
+    if closed_fd is not None:
+        command = ["sh", "-c", f'exec "$@" {closed_fd}>&-', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        command,
         input=stdin,
         capture_output=True,
         cwd=ROOT,

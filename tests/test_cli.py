@@ -1,9 +1,14 @@
+import ast
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhochart as rc
+import rhochart.cli as cli_module
 from rhochart.cli import MAX_DIM, main
 
-from conftest import run_python
+from conftest import ROOT, run_python
 
 
 def run(capsys, argv):
@@ -738,3 +744,107 @@ def negative_seed_names_the_option(_):
 )
 def test_cli_process_contract(tmp_path, check):
     check(tmp_path)
+
+
+# a standard stream closed before the process starts: python sees it as None
+
+
+def test_closed_stdout_is_an_output_usage_error():
+    done = run_python("-m", "rhochart.cli", "count", "--pattern", "2,1", closed_fd=1)
+    assert (done.returncode, done.stderr) == (2, b"error: output: standard output is closed\n")
+
+
+def test_closed_stdout_still_writes_out_file(tmp_path):
+    path = tmp_path / "count.json"
+    done = run_python("-m", "rhochart.cli", "count", "--pattern", "2,1", "--out", str(path), closed_fd=1)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(path.read_text())["n"] == 3
+
+
+def test_closed_stdin_is_an_input_usage_error():
+    done = run_python("-m", "rhochart.cli", "rewrite", "--to", "km", closed_fd=0)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: input: standard input is closed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, contents, code",
+    [
+        (["count", "--pattern", "2,x"], None, 2),
+        (["build", "--pattern", "2,1", "--random"], None, 2),
+        (["decompose"], {"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}, 3),
+    ],
+    ids=["bad-pattern", "no-seed", "not-unitary"],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, contents, code):
+    if contents is not None:
+        (tmp_path / "in.json").write_text(json.dumps(contents))
+        argv = [*argv, "--in", str(tmp_path / "in.json")]
+    done = run_python("-m", "rhochart.cli", *argv, closed_fd=2)
+    assert (done.returncode, done.stdout) == (code, b"")
+
+
+# the collector policy: a process runs its one request through ``run``, with the
+# collector off and the heap frozen after it; ``main`` in-process changes neither
+
+GC_REQUESTS = {
+    "success": ["count", "--pattern", "2,1"],
+    "refusal": ["count", "--pattern", "2,x"],
+    "help": ["--help"],
+    "numpy": ["build", "--pattern", "2,1", "--random", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("request_kind", ["success", "refusal", "help"])
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, enabled, request_kind):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(SystemExit):  # --help exits through argparse
+            main(GC_REQUESTS[request_kind])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+#: calls the process entry on ``sys.argv[1:]``, then appends the collector's
+#: state to stderr as one more line
+RUN_ENTRY = """
+import gc, sys
+from rhochart.cli import run
+try:
+    code = run()
+finally:
+    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("request_kind", sorted(GC_REQUESTS))
+def test_process_entry_runs_with_the_collector_off_and_freezes_the_heap(request_kind):
+    argv = GC_REQUESTS[request_kind]
+    entry = run_python("-c", RUN_ENTRY, *argv)
+    module = run_python("-m", "rhochart.cli", *argv)
+    *stderr, state = entry.stderr.decode().splitlines()
+    assert state == "False True"
+    assert (entry.returncode, entry.stdout) == (module.returncode, module.stdout)
+    assert stderr == module.stderr.decode().splitlines()
+
+
+def test_console_script_is_the_callable_the_main_block_runs():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^rhochart = "([\w.]+):(\w+)"$', scripts, flags=re.MULTILINE)
+    script = getattr(importlib.import_module(target.group(1)), target.group(2))
+    source = Path(cli_module.__file__).read_text()
+    main_block = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    (stmt,) = main_block.body
+    entry = stmt.value.args[0].func.id
+    assert ast.unparse(stmt) == f"sys.exit({entry}())"
+    assert script is getattr(cli_module, entry)
