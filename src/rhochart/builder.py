@@ -247,10 +247,15 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
 # seeded sampling helpers (tests and CLI)
 
 
-def _draw_block(rng: np.random.Generator, margin: float = 0.0) -> tuple[float, float]:
-    """(delta, theta) of one block, uniform over its range less ``margin`` at each end."""
-    delta = float(rng.uniform(margin, TWO_PI - margin))  # first: seeded charts depend on the order
-    return delta, float(rng.uniform(margin, HALF_PI - margin))
+def _draw(rng: np.random.Generator, blocks: int, margin: float = 0.0, phases: int = 0) -> list[float]:
+    """One uniform draw in the order seeded outputs depend on: delta then theta
+    of each of ``blocks`` blocks in turn, then ``phases`` phases in [0, 2 pi).
+    Block angles keep ``margin`` from each end of their range.  numpy fills an
+    array of bounds element by element with the scalar formula, so the values
+    are those of one scalar draw per angle in this order."""
+    low = [margin] * (2 * blocks) + [0.0] * phases
+    high = [TWO_PI - margin, HALF_PI - margin] * blocks + [TWO_PI] * phases
+    return rng.uniform(low, high).tolist()
 
 
 def random_density_chart(
@@ -260,31 +265,36 @@ def random_density_chart(
 ) -> DensityChart:
     """Chart with angles uniform over their canonical ranges.
 
-    With ``interior=True``, block angles keep a 1e-2 margin, and the k class
-    masses are drawn at once, uniform on the simplex above a floor that keeps
-    them 2e-4 from 0 and 10 ``MASS_GAP`` apart; ``fit_chart`` inverts them, in
-    random class order, to eigen angles more than 0.014 inside [0, pi/2].
+    Draw order: delta then theta of each kept block, then the eigen draws.  With
+    ``interior=True``, block angles keep a 1e-2 margin, and the k class masses
+    are drawn at once, uniform on the simplex above a floor that keeps them 2e-4
+    from 0 and 10 ``MASS_GAP`` apart; ``fit_chart`` inverts them, in random class
+    order, to eigen angles more than 0.014 inside [0, pi/2].
     """
-    margin = 1e-2 if interior else 0.0
-    blocks = tuple(BlockParam(lab, *_draw_block(rng, margin)) for lab in kept_blocks(pattern))
+    labels = kept_blocks(pattern)
+    x = _draw(rng, len(labels), 1e-2 if interior else 0.0)
+    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))
     k = pattern.num_classes
     if interior:
         least = 2e-4 + 10 * MASS_GAP * np.arange(k)
         masses = np.sort(rng.dirichlet(np.ones(k))) * (1.0 - least.sum()) + least
         eigen = fit_chart(spread(pattern, rng.permutation(masses)), pattern)
     else:
-        eigen = EigenChart(pattern, tuple(float(a) for a in rng.uniform(0, HALF_PI, size=k - 1)))
+        eigen = EigenChart(pattern, tuple(rng.uniform(0, HALF_PI, size=k - 1).tolist()))
     return DensityChart(pattern=pattern, eigen=eigen, unitary_params=blocks)
 
 
 def random_commutant_spec(pattern: DegeneracyPattern, rng: np.random.Generator) -> CommutantSpec:
-    blocks = tuple(BlockParam(lab, *_draw_block(rng)) for lab in dropped_blocks(pattern))
-    phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=pattern.n))
-    return CommutantSpec(pattern=pattern, block_params=blocks, phases=phases)
+    """Commutant with angles uniform over their ranges.  Draw order: delta then
+    theta of each in-class block, then the n diagonal phases."""
+    labels = dropped_blocks(pattern)
+    x = _draw(rng, len(labels), phases=pattern.n)
+    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))  # stops at the last label
+    return CommutantSpec(pattern=pattern, block_params=blocks, phases=tuple(x[2 * len(labels) :]))
 
 
 def random_full_params(pattern: DegeneracyPattern, rng: np.random.Generator) -> list[float]:
-    """Random n^2 parameter vector for the complete chart word of ``pattern``."""
-    params = [x for _ in canonical_order(pattern) for x in _draw_block(rng)]
-    params.extend(float(p) for p in rng.uniform(0.0, TWO_PI, size=pattern.n))
-    return params
+    """Random n^2 parameter vector for the complete chart word of ``pattern``.
+    Draw order: delta then theta of each block of ``canonical_order``, then the n
+    trailing phases."""
+    return _draw(rng, len(canonical_order(pattern)), phases=pattern.n)

@@ -18,8 +18,8 @@ A process runs its one request through :func:`run`, the entry of both
 collector off and the heap frozen before shutdown: no collection runs while
 numpy imports, and the full collections of shutdown skip numpy's objects.
 :func:`main` called in-process does neither.  A stdin or stdout closed when the
-process started is a usage error (``error: input: …``, ``error: output: …``);
-a closed stderr loses the ``error:`` line, never the exit code.
+process started is a usage error (``error: input: …``, ``error: output: …``),
+``--help`` included; a closed stderr loses the ``error:`` line, never the exit code.
 """
 
 from __future__ import annotations
@@ -45,10 +45,14 @@ class _Invalid(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports argument errors as a usage error: one ``error:`` line, exit 2."""
+    """Reports argument errors as a usage error: one ``error:`` line, exit 2;
+    ``--help`` writes to standard output like every other request."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):
+        super().print_help(file or _stdout())  # argparse would fall back to stderr
 
 
 def _read_json(args, size=None):
@@ -71,15 +75,19 @@ def _read_json(args, size=None):
     return obj
 
 
+def _stdout():
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise ValueError("output: standard output is closed")
+    return sys.stdout
+
+
 def _emit(args, payload: dict):
     text = json.dumps(payload, indent=2)
     if args.outfile:
         with open(args.outfile, "w") as fh:
             fh.write(text + "\n")
-    elif sys.stdout is None:  # fd 1 was closed when the process started
-        raise ValueError("output: standard output is closed")
     else:
-        sys.stdout.write(text + "\n")
+        _stdout().write(text + "\n")
 
 
 def _check_dim(n: int):

@@ -17,7 +17,12 @@ from typing import Iterator, Sequence
 @dataclass(frozen=True)
 class DegeneracyPattern:
     """Eigenvalue-equality classes given by their multiplicities: class k is the
-    k-th run of consecutive indices in 1..n."""
+    k-th run of consecutive indices in 1..n.
+
+    ``n``, the index runs ``classes`` and the index -> class table are set on
+    construction; :func:`canonical_order` keeps the block order on the pattern
+    on first use.  None of them is a field, so equality, hash and repr read
+    the multiplicities alone."""
 
     multiplicities: tuple[int, ...]
 
@@ -100,13 +105,18 @@ def canonical_order(p: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
     pair, so the in-class blocks sit next to the eigenvalue matrix where
     they commute away.  Within each group, labels are sorted in descending
     lexicographic order, which is deterministic and reproduces the familiar
-    (3,1), (2,3), (1,2) sequence for n = 3.
+    (3,1), (2,3), (1,2) sequence for n = 3.  The order is computed on first
+    use and kept on the pattern.
     """
-    cls = p._class
-    pairs = [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)]
-    inter = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] != cls[j]]
-    intra = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] == cls[j]]
-    return tuple(sorted(inter, reverse=True) + sorted(intra, reverse=True))
+    order = p.__dict__.get("_order")
+    if order is None:
+        cls = p._class
+        pairs = [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)]
+        inter = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] != cls[j]]
+        intra = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] == cls[j]]
+        order = tuple(sorted(inter, reverse=True) + sorted(intra, reverse=True))
+        object.__setattr__(p, "_order", order)
+    return order
 
 
 def all_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -25,7 +25,7 @@ def as_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():  # a complex entry is finite when both its parts are
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -72,9 +72,10 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityReport:
     eigenvalue beyond ``tol``.  A check that overflows to inf or NaN fails."""
     m = as_matrix(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = max_abs_diff(m, adjoint(m))
-        trace = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-        sym = (m + adjoint(m)) / 2.0
+        adj, tr = adjoint(m), complex(np.trace(m))
+        herm = max_abs_diff(m, adj)
+        trace = abs(tr.real - 1.0) + abs(tr.imag)
+        sym = (m + adj) / 2.0
     min_eig = float(np.min(np.linalg.eigvalsh(sym))) if np.isfinite(sym).all() else math.nan
     passed = herm <= tol and trace <= tol and min_eig >= -tol
     return DensityReport(

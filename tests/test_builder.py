@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -452,6 +453,40 @@ def test_interior_sampler_separates_class_masses_in_one_draw():
         assert masses[0] >= 2e-4, pattern.multiplicities
         gaps = [q - p for p, q in zip(masses, masses[1:])]
         assert min(gaps, default=math.inf) >= 10 * MASS_GAP - 1e-14, pattern.multiplicities
+
+
+#: (outputs, sha256) of the seeded samplers over ``sampler_corpus()``
+GOLDEN_SAMPLES = (600, "7077166c94145535473e6f495c81d3f5928aeca15fcebb205e819e5469dc1f55")
+
+
+def sampler_corpus():
+    """Every ordered multiplicity list with n <= 6, then the four pattern kinds of
+    the density-build benchmark (singletons, one pair, (n-1, 1), two halves) at
+    n = 8, 16 and 32."""
+    yield from all_multiplicity_lists(6)
+    for n in (8, 16, 32):
+        yield from ((1,) * n, (2,) + (1,) * (n - 2), (n - 1, 1), ((n + 1) // 2, n // 2))
+
+
+def test_seeded_samplers_match_the_golden_digest():
+    """Charts, commutants and full parameter vectors drawn from two seeds, byte for
+    byte, each followed by the generator's next draw: a sampler that reordered or
+    dropped a draw would change the digest even where its own output agrees."""
+    digest, outputs = hashlib.sha256(), 0
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        for mults in sampler_corpus():
+            pattern = DegeneracyPattern.from_multiplicities(mults)
+            for draw in (
+                lambda: random_density_chart(pattern, rng).to_json(),
+                lambda: random_density_chart(pattern, rng, interior=True).to_json(),
+                lambda: repr(random_commutant_spec(pattern, rng)),
+                lambda: random_full_params(pattern, rng),
+            ):
+                out = draw()
+                digest.update(f"{json.dumps(out)} {rng.random()!r}\n".encode())
+                outputs += 1
+    assert (outputs, digest.hexdigest()) == GOLDEN_SAMPLES
 
 
 #: ``random_density_chart(pat(3, 2), np.random.default_rng(165), interior=True)``,

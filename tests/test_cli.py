@@ -754,6 +754,13 @@ def test_closed_stdout_is_an_output_usage_error():
     assert (done.returncode, done.stderr) == (2, b"error: output: standard output is closed\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]], ids=["top", "subcommand"])
+def test_help_with_closed_stdout_is_an_output_usage_error(argv):
+    # argparse alone would print the help to stderr and exit 0
+    done = run_python("-m", "rhochart.cli", *argv, closed_fd=1)
+    assert (done.returncode, done.stderr) == (2, b"error: output: standard output is closed\n")
+
+
 def test_closed_stdout_still_writes_out_file(tmp_path):
     path = tmp_path / "count.json"
     done = run_python("-m", "rhochart.cli", "count", "--pattern", "2,1", "--out", str(path), closed_fd=1)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from conftest import all_multiplicity_lists, random_pattern, reference_canonical
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rhochart import degeneracy
+from rhochart.cli import main
 from rhochart.degeneracy import (
     DegeneracyPattern,
     all_partitions,
@@ -137,12 +140,14 @@ def test_canonical_order_n3_golden():
 
 def test_canonical_order_matches_the_reference_on_every_small_pattern():
     # every ordered multiplicity list of n <= 8: one per set of cut points in 1..n-1
+    # (n = 1 and 2 have no wrap label); the order made on first use is the one kept
     compositions = 0
     for n, k in itertools.product(range(1, 9), range(8)):
         for cuts in itertools.combinations(range(1, n), k):
             bounds = (0, *cuts, n)
             p = pat(*(b - a for a, b in zip(bounds, bounds[1:])))
-            assert canonical_order(p) == reference_canonical_order(p), p
+            order = canonical_order(p)
+            assert order == reference_canonical_order(p) and canonical_order(p) is order, p
             compositions += 1
     assert compositions == 2**8 - 1
 
@@ -155,6 +160,27 @@ def test_canonical_order_matches_the_reference_on_scattered_patterns():
     ]
     for p in patterns:
         assert canonical_order(p) == reference_canonical_order(p), p.multiplicities
+
+
+def test_a_pattern_that_stores_its_order_keeps_its_value():
+    for mults in [(1,), (1, 1), (2, 1), (1, 2, 1), (4, 4), (1,) * 9]:
+        fresh, used = DegeneracyPattern(mults), DegeneracyPattern(mults)
+        canonical_order(used)
+        for p in (used, pickle.loads(pickle.dumps(used))):
+            assert (p == fresh, hash(p), repr(p)) == (True, hash(fresh), repr(fresh))
+            assert canonical_order(p) == canonical_order(fresh)
+
+
+def test_building_and_counting_a_pattern_leave_its_order_unmade(monkeypatch, capsys):
+    def refuse(i, j, n):
+        raise AssertionError("the block order was computed")
+
+    monkeypatch.setattr(degeneracy, "oriented_pair", refuse)  # every order is built from its labels
+    p = DegeneracyPattern.singletons(256)
+    counts = [f(p) for f in (degrees_of_degeneracy, redundant_params, internal_params, orbit_dim)]
+    assert counts == [0, 0, 255**2, 256**2 - 256] and p.same_class(1, 2) is False
+    assert main(["count", "--pattern", ",".join(["1"] * 256)]) == 0
+    assert '"orbit_dim": 65280' in capsys.readouterr().out
 
 
 @given(mult_lists)
