@@ -7,13 +7,16 @@ pruned, together with the trailing diagonal, so the chart carries exactly
 ``orbit_dim(pattern)`` unitary parameters.  The numerical oracle for that
 count is the rank of the exact Jacobian of rho, read in the eigenframe of rho
 as one square system over the chart's blocks after one sweep over the word.
+
+Charts, commutant specs and block parameters are validated tuples, like the
+value types of :mod:`rhochart.words`; a chart keeps each sequence as a tuple.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +45,7 @@ class BlockParam(namedtuple("BlockParam", "block delta theta")):
     def __new__(cls, block, delta, theta):
         if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
             raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
-        return super().__new__(cls, block, delta, theta)
+        return tuple.__new__(cls, (block, delta, theta))
 
 
 def kept_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
@@ -54,21 +57,21 @@ def dropped_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
     return canonical_order(pattern)[orbit_dim(pattern) // 2 :]
 
 
-@dataclass(frozen=True)
-class DensityChart:
+class DensityChart(namedtuple("DensityChart", "pattern eigen unitary_params")):
     """Minimal coordinates of a density matrix with the given spectrum type."""
 
-    pattern: DegeneracyPattern
-    eigen: EigenChart
-    unitary_params: tuple[BlockParam, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.eigen.pattern != self.pattern:
+    def __new__(cls, pattern: DegeneracyPattern, eigen: EigenChart, unitary_params: Iterable[BlockParam]):
+        unitary_params = tuple(unitary_params)
+        if eigen.pattern != pattern:
             raise ValueError("eigen chart pattern differs from the density pattern")
-        expected = kept_blocks(self.pattern)
-        got = tuple(bp.block for bp in self.unitary_params)
+        expected = kept_blocks(pattern)
+        got = tuple(bp.block for bp in unitary_params)
         if got != expected:
             raise ValueError(f"expected blocks {expected}, got {got}")
+        return tuple.__new__(cls, (pattern, eigen, unitary_params))
 
     def to_json(self) -> dict:
         return {
@@ -97,25 +100,25 @@ class DensityChart:
         return _built("unitary_params", cls, pattern, eigen, tuple(params))
 
 
-@dataclass(frozen=True)
-class CommutantSpec:
+class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
     """Parameters of a unitary commuting with every pattern-respecting diagonal.
 
     Holds one (phase, angle) pair per in-class rotation block plus a full
     diagonal of n phases; redundant_params(pattern) + n values in total.
     """
 
-    pattern: DegeneracyPattern
-    block_params: tuple[BlockParam, ...]
-    phases: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        expected = dropped_blocks(self.pattern)
-        got = tuple(bp.block for bp in self.block_params)
+    def __new__(cls, pattern: DegeneracyPattern, block_params: Iterable[BlockParam], phases: Iterable[float]):
+        block_params, phases = tuple(block_params), tuple(phases)
+        expected = dropped_blocks(pattern)
+        got = tuple(bp.block for bp in block_params)
         if got != expected:
             raise ValueError(f"expected in-class blocks {expected}, got {got}")
-        if len(self.phases) != self.pattern.n:
-            raise ValueError(f"expected {self.pattern.n} diagonal phases")
+        if len(phases) != pattern.n:
+            raise ValueError(f"expected {pattern.n} diagonal phases")
+        return tuple.__new__(cls, (pattern, block_params, phases))
 
 
 def kept_word(c: DensityChart) -> Word:

@@ -9,7 +9,8 @@ lower-dimensional sphere, with one angle per class boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Iterable
 
 import numpy as np
 
@@ -19,19 +20,19 @@ from .jsonio import HALF_PI
 FIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenChart:
-    """Angles on [0, pi/2]^(k-1) selecting a spectrum for ``pattern``."""
+class EigenChart(namedtuple("EigenChart", "pattern angles")):
+    """Angles on [0, pi/2]^(k-1) selecting a spectrum for ``pattern``; a validated tuple."""
 
-    pattern: DegeneracyPattern
-    angles: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        k = self.pattern.num_classes
-        if len(self.angles) != k - 1:
-            raise ValueError(f"expected {k - 1} angles for {k} classes, got {len(self.angles)}")
-        for a in self.angles:
+    def __new__(cls, pattern: DegeneracyPattern, angles: Iterable[float]):
+        angles, k = tuple(angles), pattern.num_classes
+        if len(angles) != k - 1:
+            raise ValueError(f"expected {k - 1} angles for {k} classes, got {len(angles)}")
+        for a in angles:
             _angle(a)
+        return tuple.__new__(cls, (pattern, angles))
 
 
 def _angle(a: float) -> float:

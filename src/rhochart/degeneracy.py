@@ -6,39 +6,48 @@ first eigenvalue comes first).  Any other placement of equal eigenvalues gives
 the same density matrices, since U absorbs a permutation of D.  Counting
 operations return how many unitary parameters survive, or become redundant,
 for a given pattern.
+
+A :class:`DegeneracyPattern` is a tuple, as the word and chart value types are:
+it unpacks to its one field and compares equal to ``(multiplicities,)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class DegeneracyPattern:
+class DegeneracyPattern(namedtuple("DegeneracyPattern", "multiplicities")):
     """Eigenvalue-equality classes given by their multiplicities: class k is the
     k-th run of consecutive indices in 1..n.
 
     ``n``, the index runs ``classes`` and the index -> class table are set on
     construction; :func:`canonical_order` keeps the block order on the pattern
-    on first use.  None of them is a field, so equality, hash and repr read
-    the multiplicities alone."""
+    on first use.  None of them is a field: they live in the instance dict, so
+    equality, hash, repr and pickling read the multiplicities alone.  Nothing
+    can be assigned to a pattern."""
 
-    multiplicities: tuple[int, ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        mults = tuple(self.multiplicities)
+    def __new__(cls, multiplicities: Sequence[int]):
+        mults = tuple(multiplicities)
         if not mults or any(type(m) is not int or m < 1 for m in mults):  # bool is not int
             raise ValueError("multiplicities must be positive")
         classes, table = [], [None]  # table: class position of each index, slot 0 unused
         for pos, m in enumerate(mults):
             classes.append(tuple(range(len(table), len(table) + m)))
             table += [pos] * m
-        # n, the index runs and the table are derived once, so not fields
-        object.__setattr__(self, "multiplicities", mults)
-        object.__setattr__(self, "n", len(table) - 1)
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "_class", table)
+        self = tuple.__new__(cls, (mults,))
+        self.__dict__.update(n=len(table) - 1, classes=tuple(classes), _class=table)
+        return self
+
+    def __setattr__(self, name, *value):  # also __delattr__, which gets no value
+        raise AttributeError(f"a DegeneracyPattern is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @classmethod
     def from_multiplicities(cls, mults: Sequence[int]) -> "DegeneracyPattern":
@@ -115,7 +124,7 @@ def canonical_order(p: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
         inter = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] != cls[j]]
         intra = [oriented_pair(i, j, p.n) for i, j in pairs if cls[i] == cls[j]]
         order = tuple(sorted(inter, reverse=True) + sorted(intra, reverse=True))
-        object.__setattr__(p, "_order", order)
+        p.__dict__["_order"] = order
     return order
 
 

@@ -35,14 +35,18 @@ a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 Loading this module loads no numpy: decoding, rewriting, normal forms, form
 recognition and encoding run on the standard library, and :func:`evaluate`
 loads numpy on its first call.
+
+Atoms and words are validated tuples: each checks its fields once, on
+construction (``_replace`` included), refuses assignment, and unpacks and
+compares like the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
 from .jsonio import HALF_PI, TWO_PI, _json
@@ -76,60 +80,60 @@ class WordForm(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class RotationAtom:
+class RotationAtom(namedtuple("RotationAtom", "i j theta")):
     """Rotation by ``theta`` acting on rows/columns ``i < j``."""
 
-    i: int
-    j: int
-    theta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if type(self.i) is not int or type(self.j) is not int or not 1 <= self.i < self.j:
-            raise ValueError(f"rotation needs integers 1 <= i < j, got ({self.i!r}, {self.j!r})")
-        if not math.isfinite(self.theta):
+    def __new__(cls, i: int, j: int, theta: float):
+        if type(i) is not int or type(j) is not int or not 1 <= i < j:
+            raise ValueError(f"rotation needs integers 1 <= i < j, got ({i!r}, {j!r})")
+        if not math.isfinite(theta):
             raise ValueError("theta must be finite")
+        return tuple.__new__(cls, (i, j, theta))
 
 
-@dataclass(frozen=True)
-class PhaseAtom:
+class PhaseAtom(namedtuple("PhaseAtom", "deltas")):
     """Diagonal of exp(i * delta_k); indices absent from ``deltas`` get phase 0.
     Atoms compare by ``deltas``, so an explicit 0 is not the same as an absent index."""
 
-    deltas: Mapping[int, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", dict(self.deltas))
-        for idx, val in self.deltas.items():
+    def __new__(cls, deltas: Mapping[int, float]):
+        deltas = dict(deltas)
+        for idx, val in deltas.items():
             if type(idx) is not int or idx < 1:  # a bool is not an index
                 raise ValueError(f"bad phase index {idx!r}")
             if not math.isfinite(val):
                 raise ValueError("phase angles must be finite")
+        return tuple.__new__(cls, (deltas,))
 
 
 Atom = Union[RotationAtom, PhaseAtom]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "n atoms")):
     """Ordered atom sequence over dimension ``n``; evaluates left to right."""
 
-    n: int
-    atoms: tuple[Atom, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for atom in self.atoms:
+    def __new__(cls, n: int, atoms: Iterable[Atom]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        atoms = tuple(atoms)
+        for atom in atoms:
             if isinstance(atom, RotationAtom):
-                if atom.j > self.n:
-                    raise ValueError(f"rotation {atom} exceeds dimension {self.n}")
+                if atom.j > n:
+                    raise ValueError(f"rotation {atom} exceeds dimension {n}")
             elif isinstance(atom, PhaseAtom):
-                if atom.deltas and max(atom.deltas) > self.n:
-                    raise ValueError(f"phase {atom} exceeds dimension {self.n}")
+                if atom.deltas and max(atom.deltas) > n:
+                    raise ValueError(f"phase {atom} exceeds dimension {n}")
             else:
                 raise TypeError(f"not an atom: {atom!r}")
+        return tuple.__new__(cls, (n, atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,27 @@ def test_block_param_is_a_block_tuple():
         bp._replace(theta=2.0)
 
 
+def test_charts_keep_their_own_copy_of_the_callers_lists():
+    """A validated chart cannot change after its checks ran: the lists it was
+    given are copied, so emptying or editing them leaves the chart as it was."""
+    p, rng = pat(2, 1), np.random.default_rng(3)
+    angles = [0.3]
+    eigen = EigenChart(p, angles)
+    angles[0] = 5.0
+    assert eigen.angles == (0.3,) and eigenvalues(eigen) == eigenvalues(EigenChart(p, (0.3,)))
+    chart = random_density_chart(p, rng)
+    params = list(chart.unitary_params)
+    held = DensityChart(p, chart.eigen, params)
+    params.clear()
+    assert held == chart and np.array_equal(build_density(held), build_density(chart))
+    spec = random_commutant_spec(p, rng)
+    blocks, phases = list(spec.block_params), list(spec.phases)
+    held = CommutantSpec(p, blocks, phases)
+    blocks.clear()
+    phases[0] = 9.0
+    assert held == spec and np.array_equal(build_commutant(held), build_commutant(spec))
+
+
 def test_split_full_params_n3_example():
     pattern = pat(2, 1)
     full = [k / 10 for k in range(9)]

@@ -1,8 +1,9 @@
 """``import rhochart`` loads no submodule, each exported name loads its home module
 on first use, a CLI request that fails before any array exists, ``count``, ``--help``
 and the word algebra short of ``evaluate`` never load numpy, and ``verify`` loads
-only the dense-matrix layer.  Load order matters here, so most checks run in a
-fresh interpreter."""
+only the dense-matrix layer.  ``count``, ``--help`` and those refusals load no
+``dataclasses`` either.  Load order matters here, so most checks run in a fresh
+interpreter."""
 
 import importlib
 import json
@@ -18,7 +19,8 @@ NO_NUMPY = "import sys; sys.modules['numpy'] = None"
 EVERY_MODULE = "import numpy, rhochart.builder, rhochart.decompose, rhochart.words"
 
 #: runs ``main`` on each argv of ``sys.argv[1]`` in one interpreter; prints
-#: [exit code, stdout, stderr] per request, then the rhochart modules loaded
+#: [exit code, stdout, stderr] per request, then the rhochart modules loaded and
+#: ``dataclasses``, if loaded
 RUN_REQUESTS = """
 import contextlib, io, json, sys
 from rhochart.cli import main
@@ -31,7 +33,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:  # --help
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps([results, sorted(m for m in sys.modules if m.startswith("rhochart"))]))
+print(json.dumps([results, sorted(m for m in sys.modules if m.startswith("rhochart") or m == "dataclasses")]))
 """
 
 
@@ -119,6 +121,7 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
     assert [code for code, _, _ in blocked] == [0, 0] + [2] * 14
+    # the value types are validated tuples, so no dataclasses either
     assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
     # byte for byte what the same requests print with every module already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]
@@ -129,7 +132,8 @@ def test_verify_loads_only_the_dense_matrix_layer(tmp_path):
     requests = [["verify", "--in", str(tmp_path / "rho.json")]]
     results, loaded = run_requests("", requests)
     assert [code for code, _, _ in results] == [0]
-    assert loaded == ["rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
+    # DensityReport is a dataclass
+    assert loaded == ["dataclasses", "rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
     assert results == run_requests(EVERY_MODULE, requests)[0]
 
 
