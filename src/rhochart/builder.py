@@ -23,7 +23,7 @@ import numpy as np
 from . import numerics
 from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .jsonio import HALF_PI, TWO_PI, _built, _json
+from .jsonio import HALF_PI, TWO_PI, _built, chart_fields
 from .numerics import DensityReport, validate_density  # the benchmark times builder.validate_density
 from .words import Word, _split_chart_params, evaluate, opor_word, phase_row, rotate_rows
 
@@ -85,19 +85,17 @@ class DensityChart(namedtuple("DensityChart", "pattern eigen unitary_params")):
 
     @classmethod
     def from_json(cls, obj: dict) -> "DensityChart":
-        obj = _json(obj, "input", dict)
-        mults = _json(obj.get("pattern"), "pattern", [int])
+        return cls._from_fields(*chart_fields(obj))
+
+    @classmethod
+    def _from_fields(cls, mults, angles, params) -> "DensityChart":
+        """The chart of :func:`jsonio.chart_fields`' fields, a value its type refuses
+        named by the JSON path it was read from."""
         pattern = _built("pattern", DegeneracyPattern.from_multiplicities, mults)
-        angles = _json(obj.get("eigen_angles"), "eigen_angles", [float])
         angles = tuple(_built(f"eigen_angles[{k}]", _angle, a) for k, a in enumerate(angles))
         eigen = _built("eigen_angles", EigenChart, pattern, angles)
-        params = []
-        for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):
-            at = f"unitary_params[{pos}]"
-            block = tuple(_json(e.get("block"), f"{at}.block", (int, int)))
-            delta, theta = (_json(e.get(k), f"{at}.{k}", float) for k in ("delta", "theta"))
-            params.append(_built(at, BlockParam, block, delta, theta))
-        return _built("unitary_params", cls, pattern, eigen, tuple(params))
+        params = tuple(_built(f"unitary_params[{k}]", BlockParam, *p) for k, p in enumerate(params))
+        return _built("unitary_params", cls, pattern, eigen, params)
 
 
 class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):

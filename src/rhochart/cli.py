@@ -10,8 +10,12 @@ The CLI reads the library as ``rc.<name>``, through the package's lazy
 exports.  A command binds its input to a local and checks its options before
 it touches any such name (``rc.f(_read_json(args))`` would load f's module
 first), so ``count``, ``--help`` and a request rejected before any array
-exists never load numpy; that includes a word or matrix its decoder refuses.
-``verify`` loads only the dense-matrix layer, :mod:`rhochart.numerics`.
+exists never load numpy; that includes a word or matrix its decoder refuses
+and a chart field of the wrong type or shape.  Nor does ``rewrite`` of a word
+whose check is at most ``PURE_CHECK_MAX`` (n x row steps): it compares the two
+words' products on pure-Python rows, and a larger check runs on numpy.  The
+path depends on the input alone, so a request prints the same bytes in every
+process.  ``verify`` loads only the dense-matrix layer, :mod:`rhochart.numerics`.
 
 A process runs its one request through :func:`run`, the entry of both
 ``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
@@ -38,6 +42,16 @@ EXIT_VALIDATION = 3
 
 #: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
 MAX_DIM = 256
+
+# Largest n x (row steps of both words) whose rewrite is checked on pure-Python rows
+# (words._gap); a larger check evaluates on numpy.  A phase atom takes one step per
+# entry (one at least), so a word of full diagonals is not undercounted n-fold.  Cold `rewrite --to
+# km`, median of 9-11 per path (2 shared CPUs, Python 3.11, numpy 2.4): the pure rows
+# stop paying off at about 2.3e5 for rotations at n = 256 (202,752: 70.5 against
+# 75.0 ms; 235,520: 77.9 against 78.9 ms), 3.0e5 for rotation words at n = 48 and
+# 3.8e5 for opor charts (n = 32, 65,568: 52.0 against 81.7 ms; n = 64, 524,352:
+# 135.9 against 123.5 ms).
+PURE_CHECK_MAX = 200_000
 
 
 class _Invalid(ValueError):
@@ -139,7 +153,8 @@ def cmd_build(args):
         # compared before any pattern is built: "pattern": [1000000] would take minutes
         if rc.jsonio._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
-        chart = rc.DensityChart.from_json(obj)
+        fields = rc.jsonio.chart_fields(obj)  # read before rc.DensityChart loads numpy
+        chart = rc.DensityChart._from_fields(*fields)
     rho = rc.build_density(chart)
     report = rc.validate_density(rho, tol=_tol(args))
     payload = {
@@ -150,11 +165,22 @@ def cmd_build(args):
     return payload, EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+def _steps(word) -> int:
+    """Row steps of evaluating ``word``: one per rotation and one per phase entry, at
+    least one per phase atom, so never fewer than its atoms."""
+    return sum(len(a.deltas) or 1 if isinstance(a, rc.PhaseAtom) else 1 for a in word.atoms)
+
+
 def cmd_rewrite(args):
     obj = _read_json(args, "n")
     word = rc.word_from_json(obj)
     rewritten = rc.normalize(word, rc.WordForm(args.to))
-    diff = rc.max_abs_diff(rc.evaluate(word), rc.evaluate(rewritten))
+    budget = PURE_CHECK_MAX // word.n  # row steps; a word has at least one per atom
+    small = len(word.atoms) + len(rewritten.atoms) <= budget  # a large word's steps go uncounted
+    if small and _steps(word) + _steps(rewritten) <= budget:
+        diff = rc.words._gap(word, rewritten)
+    else:
+        diff = rc.max_abs_diff(rc.evaluate(word), rc.evaluate(rewritten))
     return {"word": rc.word_to_json(rewritten), "max_abs_diff": diff}, EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Nothing here loads numpy: a request whose JSON a decoder refuses never pays for
 it.  :func:`matrix_from_json` checks every field first and loads the dense-matrix
-layer only for a well-formed matrix.
+layer only for a well-formed matrix, and :func:`chart_fields` reads a density
+chart's fields, whose values the chart types then check.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ def _built(path: str, make, *args):
         return make(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def chart_fields(obj: dict) -> tuple[list, list, list]:
+    """A density chart's ``(pattern, eigen_angles, unitary_params)``, each field read
+    with its type and shape checked, a parameter as ``(block, delta, theta)``."""
+    obj = _json(obj, "input", dict)
+    mults = _json(obj.get("pattern"), "pattern", [int])
+    angles = _json(obj.get("eigen_angles"), "eigen_angles", [float])
+    params = []
+    for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):
+        at = f"unitary_params[{pos}]"
+        block = tuple(_json(e.get("block"), f"{at}.block", (int, int)))
+        params.append((block, *(_json(e.get(k), f"{at}.{k}", float) for k in ("delta", "theta"))))
+    return mults, angles, params
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -34,7 +34,9 @@ a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 
 Loading this module loads no numpy: decoding, rewriting, normal forms, form
 recognition and encoding run on the standard library, and :func:`evaluate`
-loads numpy on its first call.
+loads numpy on its first call.  Its row kernel has a pure-Python twin,
+:func:`_rows`, behind :func:`_gap`, the CLI's check of a small rewrite; below
+the bound ``cli.PURE_CHECK_MAX`` records, it costs less than numpy's import.
 
 Atoms and words are validated tuples: each checks its fields once, on
 construction (``_replace`` included), refuses assignment, and unpacks and
@@ -173,6 +175,32 @@ def evaluate(w: Word) -> np.ndarray:
             for k, delta in atom.deltas.items():
                 phase_row(v, k, delta)
     return v.T.copy()
+
+
+def _rows(w: Word) -> list[list[complex]]:
+    """V = U^T of ``w`` as rows of Python complex, by :func:`evaluate`'s steps in
+    the same order.  Rotation-only words give its values bit for bit (an exact
+    zero may differ in sign); a phase product may differ in the last bit, where
+    numpy's complex multiply fuses."""
+    rows = [[complex(r == c) for c in range(w.n)] for r in range(w.n)]
+    for atom in w.atoms:
+        if isinstance(atom, RotationAtom):
+            i, j, theta = atom
+            c, s = math.cos(theta), math.sin(theta)
+            x, y = rows[i - 1], rows[j - 1]
+            rows[i - 1] = [c * a - s * b for a, b in zip(x, y)]
+            rows[j - 1] = [c * b + s * a for a, b in zip(x, y)]
+        else:
+            for k, delta in atom.deltas.items():
+                p = complex(math.cos(delta), math.sin(delta))
+                rows[k - 1] = [p * a for a in rows[k - 1]]
+    return rows
+
+
+def _gap(w1: Word, w2: Word) -> float:
+    """``max_abs_diff(evaluate(w1), evaluate(w2))`` of two words over one n, on
+    :func:`_rows`: a rewrite's check without numpy."""
+    return max(abs(a - b) for x, y in zip(_rows(w1), _rows(w2)) for a, b in zip(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,12 @@ def test_density_chart_from_json_names_the_field_a_value_type_rejects():
         DensityChart.from_json({"pattern": [0], "eigen_angles": [], "unitary_params": []})
 
 
+def test_density_chart_from_json_reads_every_field_before_any_value_is_checked():
+    # jsonio.chart_fields reads the fields without numpy; the chart types check values after
+    with pytest.raises(ValueError, match=r"^unitary_params: expected a list, got 'x'$"):
+        DensityChart.from_json({"pattern": [0], "eigen_angles": [3.0], "unitary_params": "x"})
+
+
 # commutants
 
 def test_diagonal_phase_commutes_with_any_pattern_diagonal():

@@ -1,17 +1,21 @@
 """``import rhochart`` loads no submodule, each exported name loads its home module
-on first use, a CLI request that fails before any array exists, ``count``, ``--help``
-and the word algebra short of ``evaluate`` never load numpy, and ``verify`` loads
-only the dense-matrix layer.  ``count``, ``--help`` and those refusals load no
-``dataclasses`` either.  Load order matters here, so most checks run in a fresh
-interpreter."""
+on first use, a CLI request that fails before any array exists, ``count``, ``--help``,
+``rewrite`` of a small word and the word algebra short of ``evaluate`` never load
+numpy, and ``verify`` loads only the dense-matrix layer.  ``count``, ``--help`` and
+those refusals load no ``dataclasses`` either.  Load order matters here, so most
+checks run in a fresh interpreter."""
 
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 import rhochart
-from conftest import run_python
+from conftest import random_interleaved_word, run_python
+from rhochart.cli import PURE_CHECK_MAX, _steps
+from rhochart.numerics import max_abs_diff
+from rhochart.words import RotationAtom, Word, WordForm, evaluate, normalize, word_to_json
 
 #: makes any later ``import numpy`` raise ImportError
 NO_NUMPY = "import sys; sys.modules['numpy'] = None"
@@ -20,7 +24,7 @@ EVERY_MODULE = "import numpy, rhochart.builder, rhochart.decompose, rhochart.wor
 
 #: runs ``main`` on each argv of ``sys.argv[1]`` in one interpreter; prints
 #: [exit code, stdout, stderr] per request, then the rhochart modules loaded and
-#: ``dataclasses``, if loaded
+#: ``dataclasses`` and ``numpy``, if loaded (``NO_NUMPY``'s None is not)
 RUN_REQUESTS = """
 import contextlib, io, json, sys
 from rhochart.cli import main
@@ -33,7 +37,8 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:  # --help
             code = exc.code
     results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps([results, sorted(m for m in sys.modules if m.startswith("rhochart") or m == "dataclasses")]))
+loaded = [m for m, v in sys.modules.items() if v and (m.startswith("rhochart") or m in ("dataclasses", "numpy"))]
+print(json.dumps([results, sorted(loaded)]))
 """
 
 
@@ -97,6 +102,8 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         "int-entries.json": '{"dim": 2, "entries": 5}',
         "str-n.json": '{"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}',
         "null-atoms.json": '{"n": 2, "atoms": null}',
+        # refused by the chart's JSON rules, before the chart types load numpy
+        "str-angles.json": '{"pattern": [2, 1], "eigen_angles": "x", "unitary_params": []}',
     }
     for name, text in refused.items():
         (tmp_path / name).write_text(text)
@@ -118,9 +125,11 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         ["verify", "--in", str(tmp_path / "int-entries.json")],
         ["rewrite", "--to", "km", "--in", str(tmp_path / "str-n.json")],
         ["rewrite", "--to", "opor", "--in", str(tmp_path / "null-atoms.json")],
+        ["build", "--pattern", "2,1", "--in", str(tmp_path / "str-angles.json")],
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
-    assert [code for code, _, _ in blocked] == [0, 0] + [2] * 14
+    assert [code for code, _, _ in blocked] == [0, 0] + [2] * 15
+    assert blocked[-1][2] == "error: eigen_angles: expected a list, got 'x'\n"
     # the value types are validated tuples, so no dataclasses either
     assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
     # byte for byte what the same requests print with every module already loaded
@@ -133,8 +142,48 @@ def test_verify_loads_only_the_dense_matrix_layer(tmp_path):
     results, loaded = run_requests("", requests)
     assert [code for code, _, _ in results] == [0]
     # DensityReport is a dataclass
-    assert loaded == ["dataclasses", "rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
+    assert loaded == ["dataclasses", "numpy", "rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
     assert results == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_rewrite_of_a_small_word_runs_without_numpy(tmp_path):
+    rng = np.random.default_rng(36)
+    requests = []
+    for n in (3, 5, 8):  # cli-cold's sizes
+        path = tmp_path / f"word-{n}.json"
+        path.write_text(json.dumps(word_to_json(random_interleaved_word(n, rng))))
+        requests += [["rewrite", "--to", to, "--in", str(path)] for to in ("km", "opor")]
+    blocked, loaded = run_requests(NO_NUMPY, requests)
+    assert [code for code, _, _ in blocked] == [0] * 6
+    assert all(json.loads(out)["max_abs_diff"] <= 1e-12 for _, out, _ in blocked)
+    assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
+    # the path depends on the word alone: the same bytes with numpy already loaded
+    assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_rewrite_above_the_bound_checks_on_numpy(tmp_path):
+    """Rotation words at n = 100 with angles in range: one at the bound runs without
+    numpy, one rotation more loads it, and both report numpy's gap exactly."""
+    n = 100
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    rng = np.random.default_rng(37)
+    # km writes r rotations between two full diagonals: n x (2 r + 2 n) row steps
+    r = (PURE_CHECK_MAX // n - 2 * n) // 2
+    atoms = [RotationAtom(*pairs[k], float(rng.uniform(0.1, 1.5))) for k in range(r + 1)]
+    words = [Word(n, atoms[:r]), Word(n, atoms)]
+    kms = [normalize(w, WordForm.KM) for w in words]
+    sizes = [n * (_steps(w) + _steps(km)) for w, km in zip(words, kms)]
+    assert sizes[0] <= PURE_CHECK_MAX < sizes[1], sizes
+    outs = []
+    for k, (setup, word) in enumerate(zip((NO_NUMPY, ""), words)):
+        path = tmp_path / f"word-{k}.json"
+        path.write_text(json.dumps(word_to_json(word)))
+        [[code, out, _]], loaded = run_requests(setup, [["rewrite", "--to", "km", "--in", str(path)]])
+        assert code == 0 and ("numpy" in loaded) == (k == 1), loaded
+        outs.append(json.loads(out))
+    for out, word, km in zip(outs, words, kms):
+        assert out["word"] == word_to_json(km)
+        assert out["max_abs_diff"] == max_abs_diff(evaluate(word), evaluate(km))
 
 
 #: the word algebra end to end on one word: decode, the three normal forms, both
