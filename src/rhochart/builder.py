@@ -15,6 +15,7 @@ value types of :mod:`rhochart.words`; a chart keeps each sequence as a tuple.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from typing import Iterable
 
@@ -37,12 +38,16 @@ MASS_GAP = 1e-6
 
 class BlockParam(namedtuple("BlockParam", "block delta theta")):
     """(phase, angle) of one chart block, tagged with its oriented pair label;
-    as a tuple it is the word algebra's ``(label, delta, theta)`` block."""
+    as a tuple it is the word algebra's ``(label, delta, theta)`` block, checked
+    here so that ``opor_word`` need not check it again."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks ranges too
 
     def __new__(cls, block, delta, theta):
+        a, b = block if isinstance(block, tuple) and len(block) == 2 else (0, 0)
+        if type(a) is not int or type(b) is not int or a == b or min(a, b) < 1:  # a bool is not an index
+            raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
         if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
             raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
         return tuple.__new__(cls, (block, delta, theta))
@@ -102,7 +107,7 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
     """Parameters of a unitary commuting with every pattern-respecting diagonal.
 
     Holds one (phase, angle) pair per in-class rotation block plus a full
-    diagonal of n phases; redundant_params(pattern) + n values in total.
+    diagonal of n finite real phases; redundant_params(pattern) + n values in total.
     """
 
     __slots__ = ()
@@ -116,6 +121,9 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
             raise ValueError(f"expected in-class blocks {expected}, got {got}")
         if len(phases) != pattern.n:
             raise ValueError(f"expected {pattern.n} diagonal phases")
+        for k, phase in enumerate(phases):
+            if not isinstance(phase, numbers.Real) or not math.isfinite(phase):
+                raise ValueError(f"phases[{k}]: expected a finite real, got {phase!r}")
         return tuple.__new__(cls, (pattern, block_params, phases))
 
 

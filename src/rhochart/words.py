@@ -38,9 +38,12 @@ loads numpy on its first call.  Its row kernel has a pure-Python twin,
 :func:`_rows`, behind :func:`_gap`, the CLI's check of a small rewrite; below
 the bound ``cli.PURE_CHECK_MAX`` records, it costs less than numpy's import.
 
-Atoms and words are validated tuples: each checks its fields once, on
-construction (``_replace`` included), refuses assignment, and unpacks and
-compares like the plain tuple of its fields.
+Atoms and words are validated tuples: each checks its fields on construction
+(``_replace`` included), refuses assignment, and unpacks and compares like the
+plain tuple of its fields.  The block form is checked where it enters: by
+``builder.BlockParam`` and the chart and commutant label checks, by
+:func:`_split_chart_params`, or by the rewrite or elimination that computes it.
+:func:`opor_word` builds its atoms and word from it without checking again.
 """
 
 from __future__ import annotations
@@ -209,11 +212,14 @@ def _gap(w1: Word, w2: Word) -> float:
 
 def _split_chart_params(pattern: DegeneracyPattern, params):
     """Blocks ``(label, delta, theta)`` in ``canonical_order(pattern)`` and the
-    n trailing phases of a flat n^2 chart parameter vector."""
+    n trailing phases of a flat n^2 chart parameter vector, every value finite."""
     params = [float(p) for p in params]
     n = pattern.n
     if len(params) != n * n:
         raise ValueError(f"expected {n * n} parameters, got {len(params)}")
+    for k, p in enumerate(params):
+        if not math.isfinite(p):
+            raise ValueError(f"params[{k}]: expected a finite number, got {p}")
     order = canonical_order(pattern)
     blocks = [(lab, params[2 * k], params[2 * k + 1]) for k, lab in enumerate(order)]
     return blocks, params[2 * len(order) :]
@@ -225,14 +231,19 @@ def _diagonal(phases) -> PhaseAtom:
 
 def opor_word(n: int, blocks, trailing=None) -> Word:
     """Render blocks ``(label, delta, theta)`` as P_a(delta) R_ab(theta) ...,
-    closed by the diagonal of ``trailing`` when given."""
+    closed by the diagonal of ``trailing`` when given.
+
+    The blocks are not checked again, so they must already hold: ``n`` a positive
+    int, each label a pair of distinct Python ints in 1..n, every value finite,
+    and ``trailing``, when given, n values (its one diagonal is checked)."""
+    new = tuple.__new__
     atoms: list[Atom] = []
     for (a, b), delta, theta in blocks:
-        atoms.append(PhaseAtom({a: delta}))
-        atoms.append(RotationAtom(min(a, b), max(a, b), theta))
+        atoms.append(new(PhaseAtom, ({a: delta},)))
+        atoms.append(new(RotationAtom, (a, b, theta) if a < b else (b, a, theta)))
     if trailing is not None:
         atoms.append(_diagonal(trailing))
-    return Word(n=n, atoms=tuple(atoms))
+    return new(Word, (n, tuple(atoms)))
 
 
 def _phase_adjoint_word(n: int, blocks, trailing) -> Word:

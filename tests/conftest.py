@@ -381,6 +381,15 @@ def at_edges(w, rng) -> Word:
     return Word(n=w.n, atoms=tuple(atoms))
 
 
+def edge_corpus():
+    """3000 seeded words at n = 2..8 with about half their angles at an edge,
+    unique and repeated rotation pairs alternately."""
+    for seed in (7, 8, 9):
+        rng = np.random.default_rng(seed)
+        for k in range(1000):
+            yield at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
+
+
 def diagonal_pair_sequence(n):
     """All pairs swept superdiagonal by superdiagonal: (1,2), (2,3), ..., (1,n)."""
     out = []
@@ -409,6 +418,24 @@ def random_pattern(n, rng) -> DegeneracyPattern:
         mults.append(m)
         remaining -= m
     return DegeneracyPattern.from_multiplicities(mults)
+
+
+def density_build_patterns(n):
+    """The density-build benchmark's kinds: singletons, one pair, (n - 1, 1), two halves."""
+    mults = ((1,) * n, (2,) + (1,) * (n - 2), (n - 1, 1), ((n + 1) // 2, n // 2))
+    return [DegeneracyPattern.from_multiplicities(m) for m in mults]
+
+
+def phased_permutation(n, rng):
+    """A permutation matrix whose nonzero entries are exact units 1, -1, i, -i
+    or random phases, about half of each."""
+    units = np.array([1, -1, 1j, -1j])
+    entries = np.where(
+        rng.random(n) < 0.5, units[rng.integers(0, 4, n)], np.exp(1j * rng.uniform(0, TWO_PI, n))
+    )
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[np.arange(n), rng.permutation(n)] = entries
+    return u
 
 
 def all_multiplicity_lists(max_n):

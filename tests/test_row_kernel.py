@@ -14,6 +14,8 @@ import pytest
 from conftest import (
     EDGE_ANGLES,
     at_edges,
+    density_build_patterns,
+    phased_permutation,
     random_interleaved_word,
     random_word,
     reference_decompose,
@@ -22,7 +24,6 @@ from conftest import (
 from rhochart.builder import build_density, kept_word, random_density_chart
 from rhochart.charts import eigen_matrix
 from rhochart.decompose import decompose
-from rhochart.degeneracy import DegeneracyPattern
 from rhochart.numerics import adjoint, haar_unitary, max_abs_diff
 from rhochart.words import (
     RotationAtom,
@@ -38,24 +39,6 @@ from rhochart.words import (
 
 TWO_PI = 2 * math.pi
 SIZES = (3, 4, 8, 16, 32)
-
-
-def density_build_patterns(n):
-    """The density-build benchmark's kinds: singletons, one pair, (n - 1, 1), two halves."""
-    mults = ((1,) * n, (2,) + (1,) * (n - 2), (n - 1, 1), ((n + 1) // 2, n // 2))
-    return [DegeneracyPattern.from_multiplicities(m) for m in mults]
-
-
-def phased_permutation(n, rng):
-    """A permutation matrix whose nonzero entries are exact units 1, -1, i, -i
-    or random phases, about half of each."""
-    units = np.array([1, -1, 1j, -1j])
-    entries = np.where(
-        rng.random(n) < 0.5, units[rng.integers(0, 4, n)], np.exp(1j * rng.uniform(0, TWO_PI, n))
-    )
-    u = np.zeros((n, n), dtype=np.complex128)
-    u[np.arange(n), rng.permutation(n)] = entries
-    return u
 
 
 def edge_opor_chart(n, rng):

@@ -14,6 +14,7 @@ from conftest import (
     dense_phase,
     dense_product,
     dense_rotation,
+    edge_corpus,
     fixed_point_merge,
     random_interleaved_word,
     random_word,
@@ -344,15 +345,6 @@ def test_normalize_opor_from_phase_adjoint_reproduces_known_phase_map():
     block_phases = [next(iter(a.deltas.values())) for a in out.atoms[:-1][::2]]
     expected = [d3 % TWO_PI, (d2 + d3) % TWO_PI, (d1 + d2 + d3) % TWO_PI]
     assert np.allclose(block_phases, expected, atol=1e-12)
-
-
-def edge_corpus():
-    """3000 seeded words at n = 2..8 with about half their angles at an edge,
-    unique and repeated rotation pairs alternately."""
-    for seed in (7, 8, 9):
-        rng = np.random.default_rng(seed)
-        for k in range(1000):
-            yield at_edges(random_word(int(rng.integers(2, 9)), rng, unique_pairs=bool(k % 2)), rng)
 
 
 def test_normalize_opor_idempotent():
