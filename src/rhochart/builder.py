@@ -24,9 +24,9 @@ import numpy as np
 from . import numerics
 from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .jsonio import HALF_PI, TWO_PI, _built, chart_fields
+from .jsonio import HALF_PI, TWO_PI, _built, _no_bool, chart_fields
 from .numerics import DensityReport, validate_density  # the benchmark times builder.validate_density
-from .words import Word, _split_chart_params, evaluate, opor_word, phase_row, rotate_rows
+from .words import Word, _split_chart_params, evaluate, opor_word, row_kernel
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
@@ -50,6 +50,8 @@ class BlockParam(namedtuple("BlockParam", "block delta theta")):
             raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
         if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
             raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
+        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
+            _no_bool(delta, "delta"), _no_bool(theta, "theta")
         return tuple.__new__(cls, (block, delta, theta))
 
 
@@ -122,7 +124,7 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
         if len(phases) != pattern.n:
             raise ValueError(f"expected {pattern.n} diagonal phases")
         for k, phase in enumerate(phases):
-            if not isinstance(phase, numbers.Real) or not math.isfinite(phase):
+            if not isinstance(_no_bool(phase, f"phases[{k}]"), numbers.Real) or not math.isfinite(phase):
                 raise ValueError(f"phases[{k}]: expected a finite real, got {phase!r}")
         return tuple.__new__(cls, (pattern, block_params, phases))
 
@@ -207,13 +209,13 @@ def _jacobian(c: DensityChart, include_eigen: bool) -> np.ndarray:
     """
     n, p = c.pattern.n, 2 * len(c.unitary_params)
     w, xy = np.eye(n, dtype=np.complex128), np.empty((2, p, n), dtype=np.complex128)
-    re = w.view(np.float64)  # w holds W^T: the prefix's columns are its rows
+    rotate, phase = row_kernel(w)  # w holds W^T: the prefix's columns are its rows
     for col, bp in zip(range(0, p, 2), c.unitary_params):
         a = bp.block[0]
-        phase_row(w, a, bp.delta)
+        phase(a, bp.delta)
         xy[:, col] = 0.5j * w[a - 1], w[a - 1]
         i, j = sorted(bp.block)
-        rotate_rows(re, i, j, bp.theta)
+        rotate(i, j, bp.theta)
         xy[:, col + 1] = w[i - 1], w[j - 1]
     k, l = np.array([sorted(bp.block) for bp in c.unitary_params], dtype=int).reshape(-1, 2).T - 1
     (vx, vy), lam = w.conj() @ xy.transpose(0, 2, 1), np.asarray(eigenvalues(c.eigen))

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .degeneracy import DegeneracyPattern
-from .jsonio import HALF_PI
+from .jsonio import HALF_PI, _no_bool
 
 FIT_TOL = 1e-9
 
@@ -36,8 +36,8 @@ class EigenChart(namedtuple("EigenChart", "pattern angles")):
 
 
 def _angle(a: float) -> float:
-    """``a``, refused unless it lies in [0, pi/2]."""
-    if not 0.0 <= a <= HALF_PI:
+    """``a``, refused unless it is a number in [0, pi/2]."""
+    if not 0.0 <= _no_bool(a) <= HALF_PI:
         raise ValueError(f"angle {a} outside [0, pi/2]")
     return a
 

@@ -8,8 +8,8 @@ so the residue is diagonal and becomes the trailing phase matrix.  The
 recovered blocks are exactly the chart's, so this is the constructive
 inverse of ``make_opor_chart``.
 
-The elimination is the row kernel of ``words.evaluate`` run on conj(u):
-left-applying the inverse block R^T P* to t is left-applying R^T P to conj(t).
+The elimination runs ``words.row_kernel``, the row kernel of ``words.evaluate``, on
+conj(u): left-applying the inverse block R^T P* to t is left-applying R^T P to conj(t).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .degeneracy import DegeneracyPattern, canonical_order
-from .words import Word, _wrap, evaluate, opor_word, phase_row, rotate_rows
+from .words import Word, _wrap, evaluate, opor_word, row_kernel
 
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14
@@ -52,7 +52,7 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
         raise NotUnitaryError(f"input is not unitary within {tol}")
     n = u.shape[0]
     v = np.ascontiguousarray(u.conj())  # t = conj(v) is the matrix being reduced
-    re = v.view(np.float64)
+    rotate, phase = row_kernel(v)
     blocks = []
     for a, b in canonical_order(DegeneracyPattern.singletons(n)):
         i, j = min(a, b), max(a, b)
@@ -68,8 +68,8 @@ def decompose(u: np.ndarray, tol: float = numerics.DEFAULT_TOL) -> Decomposition
                 x, y = float(np.angle(tij)), float(np.angle(tjj))
                 delta = _wrap(x - y if a == i else y - x, abs(x) + abs(y))
         blocks.append(((a, b), delta, theta))
-        phase_row(v, a, delta)
-        rotate_rows(re, i, j, theta)
+        phase(a, delta)
+        rotate(i, j, theta)
     trailing = [_wrap(-x, abs(x)) for x in (float(np.angle(v[k, k])) for k in range(n))]
     word = opor_word(n, blocks, trailing)
     residual = numerics.max_abs_diff(u, evaluate(word))

@@ -41,6 +41,14 @@ def _json(value, path: str, kind):
     raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
 
 
+def _no_bool(value, path: str = ""):
+    """``value``, refused as :func:`_json` refuses a bool, numpy's included: no value type holds one."""
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy has loaded
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+        raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {value!r}")
+    return value
+
+
 def _built(path: str, make, *args):
     """``make(*args)``, a ``ValueError`` prefixed with the JSON ``path`` its arguments came from."""
     try:

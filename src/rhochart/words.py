@@ -34,7 +34,7 @@ a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 
 Loading this module loads no numpy: decoding, rewriting, normal forms, form
 recognition and encoding run on the standard library, and :func:`evaluate`
-loads numpy on its first call.  Its row kernel has a pure-Python twin,
+loads numpy on its first call.  Its :func:`row_kernel` has a pure-Python twin,
 :func:`_rows`, behind :func:`_gap`, the CLI's check of a small rewrite; below
 the bound ``cli.PURE_CHECK_MAX`` records, it costs less than numpy's import.
 
@@ -54,7 +54,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .jsonio import HALF_PI, TWO_PI, _json
+from .jsonio import HALF_PI, TWO_PI, _json, _no_bool
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +94,7 @@ class RotationAtom(namedtuple("RotationAtom", "i j theta")):
     def __new__(cls, i: int, j: int, theta: float):
         if type(i) is not int or type(j) is not int or not 1 <= i < j:
             raise ValueError(f"rotation needs integers 1 <= i < j, got ({i!r}, {j!r})")
-        if not math.isfinite(theta):
+        if not math.isfinite(_no_bool(theta, "theta")):
             raise ValueError("theta must be finite")
         return tuple.__new__(cls, (i, j, theta))
 
@@ -111,6 +111,8 @@ class PhaseAtom(namedtuple("PhaseAtom", "deltas")):
         for idx, val in deltas.items():
             if type(idx) is not int or idx < 1:  # a bool is not an index
                 raise ValueError(f"bad phase index {idx!r}")
+            if type(val) is not float:  # so a float builds no path
+                _no_bool(val, f"deltas[{idx}]")
             if not math.isfinite(val):
                 raise ValueError("phase angles must be finite")
         return tuple.__new__(cls, (deltas,))
@@ -144,39 +146,49 @@ class Word(namedtuple("Word", "n atoms")):
 # ---------------------------------------------------------------------------
 # evaluation: an in-place row kernel on V = U^T (U <- U A is V <- A^T V).  A
 # rotation mixes two rows of V's float64 view as reals, a phase scales one row:
-# O(n) per atom.  ``decompose`` and the rank oracle run on it too.
+# O(n) per atom.  ``evaluate``, ``decompose`` and the rank oracle share it; its
+# coefficients sit in 0-d registers, which numpy's ufuncs need not promote (README).
 
 
-def rotate_rows(re: np.ndarray, i: int, j: int, theta: float) -> None:
-    """In place ``V <- R^T V`` on ``re = V.view(np.float64)``, R the rotation (i, j, theta)."""
-    c, s = math.cos(theta), math.sin(theta)
-    row_i, row_j = re[i - 1], re[j - 1]
-    s_i, s_j = row_i * s, row_j * s
-    row_i *= c
-    row_i -= s_j
-    row_j *= c
-    row_j += s_i
+def row_kernel(v: np.ndarray):
+    """``(rotate, phase)`` in place on the C-contiguous complex ``v``, with rows and registers
+    of their own: ``rotate(i, j, theta)`` is ``V <- R^T V``, R the rotation (i, j, theta),
+    and ``phase(k, delta)`` is ``V <- P V``, P the phase exp(i * delta) on 1-based k."""
+    import numpy as np  # here, not at the top: the rest of the word algebra runs without it
 
+    re, rows = list(v.view(np.float64)), list(v)
+    c, s, p = np.zeros(()), np.zeros(()), np.zeros((), np.complex128)
+    cos, sin = math.cos, math.sin
 
-def phase_row(v: np.ndarray, k: int, delta: float) -> None:
-    """In place ``V <- P V``, P the phase exp(i * delta) on 1-based index k."""
-    row = v[k - 1]
-    row *= complex(math.cos(delta), math.sin(delta))
+    def rotate(i: int, j: int, theta: float) -> None:
+        c[()], s[()] = cos(theta), sin(theta)
+        row_i, row_j = re[i - 1], re[j - 1]
+        s_i, s_j = row_i * s, row_j * s
+        row_i *= c
+        row_i -= s_j
+        row_j *= c
+        row_j += s_i
+
+    def phase(k: int, delta: float) -> None:
+        p[()] = complex(cos(delta), sin(delta))
+        rows[k - 1] *= p
+
+    return rotate, phase
 
 
 def evaluate(w: Word) -> np.ndarray:
     """Product of the atoms in listed order (identity when empty), C-contiguous; its
     values are the complex column product's, but an exact zero may carry either sign."""
-    import numpy as np  # here, not at the top: the rest of the word algebra runs without it
+    import numpy as np
 
     v = np.eye(w.n, dtype=np.complex128)
-    re = v.view(np.float64)
+    rotate, phase = row_kernel(v)
     for atom in w.atoms:
-        if isinstance(atom, RotationAtom):
-            rotate_rows(re, atom.i, atom.j, atom.theta)
+        if type(atom) is RotationAtom:
+            rotate(*atom)
         else:
             for k, delta in atom.deltas.items():
-                phase_row(v, k, delta)
+                phase(k, delta)
     return v.T.copy()
 
 

@@ -86,6 +86,28 @@ def phase_column(u, k, delta):
     u[:, k - 1] *= complex(math.cos(delta), math.sin(delta))
 
 
+def scalar_row_kernel(v):
+    """Reference for ``words.row_kernel``: the same ``(rotate, phase)`` on ``v``, each
+    step the same ufuncs in the same order, but with Python-scalar coefficients and
+    its rows indexed afresh on every call."""
+    re = v.view(np.float64)
+
+    def rotate(i, j, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        row_i, row_j = re[i - 1], re[j - 1]
+        s_i, s_j = row_i * s, row_j * s
+        row_i *= c
+        row_i -= s_j
+        row_j *= c
+        row_j += s_i
+
+    def phase(k, delta):
+        row = v[k - 1]
+        row *= complex(math.cos(delta), math.sin(delta))
+
+    return rotate, phase
+
+
 def reference_evaluate(w):
     """Reference for ``evaluate``: the product of the atoms on columns of U."""
     u = np.eye(w.n, dtype=np.complex128)

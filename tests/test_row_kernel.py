@@ -1,12 +1,15 @@
 """The row kernel behind ``evaluate``, ``decompose`` and the rank oracle gives
 the column kernel's results: the same values, density matrices byte for byte,
 and the same factored words (``conftest.reference_evaluate`` and
-``conftest.reference_decompose`` keep the column kernel).  Its pure-Python twin,
-which checks a small rewrite without numpy, gives ``evaluate``'s values on
-rotations and numpy's gap within a few ulps on words with phases."""
+``conftest.reference_decompose`` keep the column kernel).  Its 0-d coefficient
+registers give the bytes of Python-scalar coefficients, signed zeros included
+(``conftest.scalar_row_kernel``).  Its pure-Python twin, which checks a small
+rewrite without numpy, gives ``evaluate``'s values on rotations and numpy's gap
+within a few ulps on words with phases."""
 
 import json
 import math
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -15,17 +18,21 @@ from conftest import (
     EDGE_ANGLES,
     at_edges,
     density_build_patterns,
+    edge_corpus,
     phased_permutation,
     random_interleaved_word,
     random_word,
     reference_decompose,
     reference_evaluate,
+    scalar_row_kernel,
 )
-from rhochart.builder import build_density, kept_word, random_density_chart
+from rhochart.builder import _jacobian, build_density, kept_word, random_density_chart
 from rhochart.charts import eigen_matrix
 from rhochart.decompose import decompose
+from rhochart.degeneracy import DegeneracyPattern
 from rhochart.numerics import adjoint, haar_unitary, max_abs_diff
 from rhochart.words import (
+    PhaseAtom,
     RotationAtom,
     Word,
     WordForm,
@@ -70,6 +77,66 @@ def test_row_kernel_matches_the_column_kernel(n):
         got, want = decompose(u), reference_decompose(u)
         assert json.dumps(word_to_json(got.word)) == json.dumps(word_to_json(want.word))
         assert got.residual == want.residual
+
+
+#: the modules that look ``row_kernel`` up when they run it
+KERNEL_MODULES = ("rhochart.words", "rhochart.decompose", "rhochart.builder")
+
+
+def with_scalar_kernel(monkeypatch, f, inputs):
+    """``[f(x) for x in inputs]`` with ``scalar_row_kernel`` bound in place of
+    ``words.row_kernel`` in every module that runs it."""
+    with monkeypatch.context() as m:
+        for name in KERNEL_MODULES:
+            m.setattr(import_module(name), "row_kernel", scalar_row_kernel)
+        return [f(x) for x in inputs]
+
+
+def differing(inputs, got, want):
+    return [x for x, a, b in zip(inputs, got, want, strict=True) if a != b]
+
+
+def test_registers_give_the_scalar_bytes_on_evaluate(monkeypatch):
+    words = list(edge_corpus())
+    for n in range(3, 33):
+        rng = np.random.default_rng(90 + n)
+        words += [random_word(n, rng, max_atoms=40, unique_pairs=False) for _ in range(3)]
+        words += [random_interleaved_word(n, rng)]
+        words += [kept_word(random_density_chart(p, rng)) for p in density_build_patterns(n)]
+    assert sum(isinstance(a, PhaseAtom) and len(a.deltas) > 1 for w in words for a in w.atoms) > 1000
+
+    def product(w):
+        return evaluate(w).tobytes()  # tobytes: unlike array_equal, it sees the sign of a zero
+
+    got = [product(w) for w in words]
+    assert differing(words, got, with_scalar_kernel(monkeypatch, product, words)) == []
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_registers_give_the_scalar_bytes_on_decompose(monkeypatch, n):
+    rng = np.random.default_rng(95 + n)
+    unitaries = [haar_unitary(n, rng) for _ in range(5)]
+    unitaries += [phased_permutation(n, rng) for _ in range(5)]
+    unitaries += [evaluate(edge_opor_chart(n, rng)) for _ in range(5)]
+
+    def factored(u):
+        result = decompose(u)  # the JSON keeps a phase's signed zero, and hex the residual's bits
+        return json.dumps(word_to_json(result.word)), result.residual.hex()
+
+    got = [factored(u) for u in unitaries]
+    assert differing(range(len(unitaries)), got, with_scalar_kernel(monkeypatch, factored, unitaries)) == []
+
+
+def test_registers_give_the_scalar_bytes_on_the_jacobian(monkeypatch):
+    rng = np.random.default_rng(99)
+    patterns = [DegeneracyPattern.from_multiplicities(m) for n in (2, 3, 4, 5, 8) for m in ((1,) * n, (n - 1, 1))]
+    charts = [random_density_chart(p, rng, interior=True) for p in patterns for _ in range(3)]
+
+    def jacobian(c):
+        return _jacobian(c, True).tobytes()
+
+    got = [jacobian(c) for c in charts]
+    assert differing(charts, got, with_scalar_kernel(monkeypatch, jacobian, charts)) == []
 
 
 #: largest |pure-Python gap - numpy gap| allowed on words with phases: numpy's complex

@@ -2,17 +2,22 @@
 atoms and words, the eigen and density charts, the commutant spec and the block
 parameter.  Each is a validated ``namedtuple`` subclass: it keeps its repr and
 its equality and hash by value, refuses assignment, round-trips through pickle
-and deepcopy, and checks a ``_replace`` as it checks construction."""
+and deepcopy, and checks a ``_replace`` as it checks construction.  None takes a
+bool as a number, so every value with a JSON form decodes back from it."""
 
 import copy
+import json
+import math
 import pickle
+import re
 
+import numpy as np
 import pytest
 
 from rhochart.builder import BlockParam, CommutantSpec, DensityChart
 from rhochart.charts import EigenChart
 from rhochart.degeneracy import DegeneracyPattern, canonical_order
-from rhochart.words import PhaseAtom, RotationAtom, Word
+from rhochart.words import PhaseAtom, RotationAtom, Word, word_from_json, word_to_json
 
 PATTERN = DegeneracyPattern((2, 1))  # blocks (3, 1), (2, 3) kept, (1, 2) in-class
 EIGEN = EigenChart(PATTERN, (0.5,))
@@ -119,3 +124,54 @@ def test_a_pattern_keeps_its_derived_values_off_its_fields():
     assert pickle.dumps(p) == fresh  # pickled by its multiplicities alone
     assert canonical_order(pickle.loads(fresh)) == canonical_order(p)
 
+
+
+BOOLS = (True, False, np.True_, np.False_)
+
+#: every number a value type holds, as the construction of one value with ``flag`` there
+BOOL_SITES = {
+    "RotationAtom.theta": lambda flag: RotationAtom(1, 2, flag),
+    "RotationAtom._replace": lambda flag: RotationAtom(1, 2, 0.3)._replace(theta=flag),
+    "PhaseAtom.deltas": lambda flag: PhaseAtom({1: 0.3, 2: flag}),
+    "BlockParam.delta": lambda flag: BlockParam((3, 1), flag, 0.2),
+    "BlockParam.theta": lambda flag: BlockParam((3, 1), 0.1, flag),
+    "EigenChart.angles": lambda flag: EigenChart(PATTERN, (flag,)),
+    "DensityChart._from_fields": lambda flag: DensityChart._from_fields([2, 1], [flag], []),
+    "CommutantSpec.phases": lambda flag: CommutantSpec(PATTERN, [BlockParam((1, 2), 0.5, 0.6)], (0.1, flag, 0.3)),
+}
+
+
+@pytest.mark.parametrize("flag", BOOLS, ids=repr)
+@pytest.mark.parametrize("site", list(BOOL_SITES))
+def test_no_value_type_takes_a_bool_as_a_number(site, flag):
+    # worded as the decoders refuse one: 0 <= True <= pi/2, and math.isfinite(True) holds
+    with pytest.raises(ValueError, match=rf"expected a finite number, got {re.escape(repr(flag))}$"):
+        BOOL_SITES[site](flag)
+
+
+#: numbers the value types take: Python ints and floats, a signed zero, numpy's float64
+NUMBERS = (0, 1, 0.0, -0.0, 0.3, math.pi / 2, np.float64(0.7))
+
+
+def with_json(x):
+    """(construction, encoder, decoder) of the two value types with a JSON form, with ``x``
+    in every number: the word holds both atoms, and the density chart the pattern, the
+    eigen chart and the block parameters."""
+    word = lambda: Word(3, [RotationAtom(1, 3, x), PhaseAtom({1: x, 3: -x}), RotationAtom(2, 3, x - 4)])
+    params = lambda: [BlockParam((3, 1), x, x), BlockParam((2, 3), 6.0, x)]
+    chart = lambda: DensityChart(PATTERN, EigenChart(PATTERN, (x,)), params())
+    return [(word, word_to_json, word_from_json), (chart, DensityChart.to_json, DensityChart.from_json)]
+
+
+@pytest.mark.parametrize("x", NUMBERS + BOOLS, ids=repr)
+def test_every_value_that_constructs_decodes_back_from_its_json(x):
+    built = 0
+    for make, encode, decode in with_json(x):
+        try:
+            value = make()
+        except ValueError:
+            continue
+        back = decode(json.loads(json.dumps(encode(value), allow_nan=False)))
+        assert type(back) is type(value) and back == value
+        built += 1
+    assert built == (0 if any(x is flag for flag in BOOLS) else 2)  # 0 == False
