@@ -22,7 +22,7 @@ from importlib import import_module
 _EXPORTS = {
     "builder": (
         "BlockParam", "CommutantSpec", "DensityChart", "build_commutant", "build_density",
-        "jacobian_rank", "kept_word", "prune_equivalence",
+        "jacobian_rank", "kept_word",
     ),
     "charts": ("EigenChart", "eigen_matrix", "eigenvalues", "fit_chart"),
     "decompose": ("DecompositionResult", "NotUnitaryError", "decompose"),
@@ -37,8 +37,7 @@ _EXPORTS = {
     ),
     "words": (
         "PhaseAtom", "RotationAtom", "Word", "WordForm", "count_phases", "evaluate",
-        "make_opor_chart", "make_phase_adjoint_chart", "normalize", "rewrite_merge_phases",
-        "rewrite_pass_through", "word_from_json", "word_to_json",
+        "make_opor_chart", "normalize", "word_from_json", "word_to_json",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

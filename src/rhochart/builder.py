@@ -15,7 +15,6 @@ value types of :mod:`rhochart.words`; a chart keeps each sequence as a tuple.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from typing import Iterable
 
@@ -24,9 +23,9 @@ import numpy as np
 from . import numerics
 from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .jsonio import HALF_PI, TWO_PI, _built, _no_bool, chart_fields
+from .jsonio import HALF_PI, TWO_PI, _built, _number, chart_fields
 from .numerics import DensityReport, validate_density  # the benchmark times builder.validate_density
-from .words import Word, _split_chart_params, evaluate, opor_word, row_kernel
+from .words import Word, evaluate, opor_word, row_kernel
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
@@ -48,10 +47,10 @@ class BlockParam(namedtuple("BlockParam", "block delta theta")):
         a, b = block if isinstance(block, tuple) and len(block) == 2 else (0, 0)
         if type(a) is not int or type(b) is not int or a == b or min(a, b) < 1:  # a bool is not an index
             raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
+        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
+            _number(delta, "delta"), _number(theta, "theta")
         if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
             raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
-        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
-            _no_bool(delta, "delta"), _no_bool(theta, "theta")
         return tuple.__new__(cls, (block, delta, theta))
 
 
@@ -124,8 +123,8 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
         if len(phases) != pattern.n:
             raise ValueError(f"expected {pattern.n} diagonal phases")
         for k, phase in enumerate(phases):
-            if not isinstance(_no_bool(phase, f"phases[{k}]"), numbers.Real) or not math.isfinite(phase):
-                raise ValueError(f"phases[{k}]: expected a finite real, got {phase!r}")
+            if not math.isfinite(_number(phase, f"phases[{k}]")):
+                raise ValueError(f"phases[{k}]: expected a finite number, got {phase!r}")
         return tuple.__new__(cls, (pattern, block_params, phases))
 
 
@@ -144,39 +143,6 @@ def build_density(c: DensityChart) -> np.ndarray:
 def build_commutant(s: CommutantSpec) -> np.ndarray:
     """Unitary commuting with every diagonal that respects the pattern."""
     return evaluate(opor_word(s.pattern.n, s.block_params, s.phases))
-
-
-def split_full_params(full_params, pattern: DegeneracyPattern):
-    """Partition a full n^2 chart parameter vector into kept and dropped parts.
-
-    ``full_params`` lays out one (delta, theta) pair per block of
-    ``canonical_order(pattern)`` followed by n trailing phases.  Returns
-    (kept BlockParams, dropped BlockParams, trailing phases).
-    """
-    blocks, trailing = _split_chart_params(pattern, full_params)
-    params = tuple(BlockParam(*block) for block in blocks)
-    cut = orbit_dim(pattern) // 2
-    return params[:cut], params[cut:], tuple(trailing)
-
-
-def prune_equivalence(full_params, pattern: DegeneracyPattern, eigen_angles=None) -> DensityChart:
-    """Delete the in-class block parameters and the trailing diagonal.
-
-    The deleted parameters generate a commutant of the eigen matrix, so the
-    resulting chart describes the same density matrix family with
-    ``orbit_dim(pattern)`` unitary parameters.  ``eigen_angles`` selects the
-    spectrum; when omitted, a generic interior spectrum with distinct class
-    masses is used.
-    """
-    kept, _, _ = split_full_params(full_params, pattern)
-    if eigen_angles is None:
-        # generic interior spectrum: class masses proportional to 1, 2, ..., k
-        k = pattern.num_classes
-        masses = [2.0 * (m + 1) / (k * (k + 1)) for m in range(k)]
-        eigen = fit_chart(spread(pattern, masses), pattern)
-    else:
-        eigen = EigenChart(pattern=pattern, angles=tuple(eigen_angles))
-    return DensityChart(pattern=pattern, eigen=eigen, unitary_params=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +268,3 @@ def random_commutant_spec(pattern: DegeneracyPattern, rng: np.random.Generator) 
     x = _draw(rng, len(labels), phases=pattern.n)
     blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))  # stops at the last label
     return CommutantSpec(pattern=pattern, block_params=blocks, phases=tuple(x[2 * len(labels) :]))
-
-
-def random_full_params(pattern: DegeneracyPattern, rng: np.random.Generator) -> list[float]:
-    """Random n^2 parameter vector for the complete chart word of ``pattern``.
-    Draw order: delta then theta of each block of ``canonical_order``, then the n
-    trailing phases."""
-    return _draw(rng, len(canonical_order(pattern)), phases=pattern.n)

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .degeneracy import DegeneracyPattern
-from .jsonio import HALF_PI, _no_bool
+from .jsonio import HALF_PI, _number
 
 FIT_TOL = 1e-9
 
@@ -37,7 +37,7 @@ class EigenChart(namedtuple("EigenChart", "pattern angles")):
 
 def _angle(a: float) -> float:
     """``a``, refused unless it is a number in [0, pi/2]."""
-    if not 0.0 <= _no_bool(a) <= HALF_PI:
+    if not 0.0 <= _number(a) <= HALF_PI:
         raise ValueError(f"angle {a} outside [0, pi/2]")
     return a
 

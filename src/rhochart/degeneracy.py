@@ -64,12 +64,6 @@ class DegeneracyPattern(namedtuple("DegeneracyPattern", "multiplicities")):
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def same_class(self, i: int, j: int) -> bool:
-        for index in (i, j):
-            if not 1 <= index <= self.n:
-                raise ValueError(f"index {index} outside 1..{self.n}")
-        return self._class[i] == self._class[j]
-
 
 def degrees_of_degeneracy(p: DegeneracyPattern) -> int:
     """Number of equal-eigenvalue pairs: sum of C(multiplicity, 2)."""

@@ -41,10 +41,11 @@ def _json(value, path: str, kind):
     raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
 
 
-def _no_bool(value, path: str = ""):
-    """``value``, refused as :func:`_json` refuses a bool, numpy's included: no value type holds one."""
-    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy has loaded
-    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+def _number(value, path: str = ""):
+    """``value``, refused unless it is a Python int or float (numpy's float64 is a float),
+    the kinds :func:`_json` returns: a bool, a numpy integer or a float32 has no JSON form
+    that decodes back to it, so no value type holds one."""
+    if type(value) is not int and not isinstance(value, float):
         raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {value!r}")
     return value
 

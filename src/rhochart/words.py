@@ -22,11 +22,11 @@ phases of pi; :func:`opor_word` renders it as P_a R, :func:`_phase_adjoint_word`
 as P_a R P_a^dagger, and km reads each block's conjugation phase, the a - b
 difference of the running block-phase sum.
 
-Rewrites never change the evaluation.  The basic moves are merging adjacent
-diagonals and passing a diagonal through a rotation: on the rotation's
-support, diag(a, b) R = diag(a/b, 1) R diag(b, b), so a common phase commutes
-and a phase difference stays behind on one side.  Normalization composes
-these moves in closed form and is exact up to floating-point phase sums.
+Normalization never changes the evaluation.  It rests on one identity: on a
+rotation's support, diag(a, b) R = diag(a/b, 1) R diag(b, b), so a common phase
+passes through the rotation and only the difference stays behind, on one index.
+:func:`_sweep` applies it at every rotation in closed form, merging diagonals as
+it goes, and is exact up to floating-point phase sums.
 
 One angle rule: every phase term a rewrite sums enters through :func:`_turn`,
 and every phase it emits leaves through :func:`_wrap`, into [0, 2*pi) and 0 within
@@ -42,7 +42,7 @@ Atoms and words are validated tuples: each checks its fields on construction
 (``_replace`` included), refuses assignment, and unpacks and compares like the
 plain tuple of its fields.  The block form is checked where it enters: by
 ``builder.BlockParam`` and the chart and commutant label checks, by
-:func:`_split_chart_params`, or by the rewrite or elimination that computes it.
+:func:`make_opor_chart`, or by the rewrite or elimination that computes it.
 :func:`opor_word` builds its atoms and word from it without checking again.
 """
 
@@ -54,7 +54,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .jsonio import HALF_PI, TWO_PI, _json, _no_bool
+from .jsonio import HALF_PI, TWO_PI, _json, _number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +94,7 @@ class RotationAtom(namedtuple("RotationAtom", "i j theta")):
     def __new__(cls, i: int, j: int, theta: float):
         if type(i) is not int or type(j) is not int or not 1 <= i < j:
             raise ValueError(f"rotation needs integers 1 <= i < j, got ({i!r}, {j!r})")
-        if not math.isfinite(_no_bool(theta, "theta")):
+        if not math.isfinite(_number(theta, "theta")):
             raise ValueError("theta must be finite")
         return tuple.__new__(cls, (i, j, theta))
 
@@ -112,7 +112,7 @@ class PhaseAtom(namedtuple("PhaseAtom", "deltas")):
             if type(idx) is not int or idx < 1:  # a bool is not an index
                 raise ValueError(f"bad phase index {idx!r}")
             if type(val) is not float:  # so a float builds no path
-                _no_bool(val, f"deltas[{idx}]")
+                _number(val, f"deltas[{idx}]")
             if not math.isfinite(val):
                 raise ValueError("phase angles must be finite")
         return tuple.__new__(cls, (deltas,))
@@ -222,21 +222,6 @@ def _gap(w1: Word, w2: Word) -> float:
 # chart constructors
 
 
-def _split_chart_params(pattern: DegeneracyPattern, params):
-    """Blocks ``(label, delta, theta)`` in ``canonical_order(pattern)`` and the
-    n trailing phases of a flat n^2 chart parameter vector, every value finite."""
-    params = [float(p) for p in params]
-    n = pattern.n
-    if len(params) != n * n:
-        raise ValueError(f"expected {n * n} parameters, got {len(params)}")
-    for k, p in enumerate(params):
-        if not math.isfinite(p):
-            raise ValueError(f"params[{k}]: expected a finite number, got {p}")
-    order = canonical_order(pattern)
-    blocks = [(lab, params[2 * k], params[2 * k + 1]) for k, lab in enumerate(order)]
-    return blocks, params[2 * len(order) :]
-
-
 def _diagonal(phases) -> PhaseAtom:
     return PhaseAtom(dict(enumerate(phases, start=1)))
 
@@ -259,13 +244,13 @@ def opor_word(n: int, blocks, trailing=None) -> Word:
 
 
 def _phase_adjoint_word(n: int, blocks, trailing) -> Word:
-    """Render blocks ``(label, psi, theta)`` as P_a(psi) R_ab(theta) P_a(-psi) ...,
-    closed by the diagonal of ``trailing``; each -psi is turned and wrapped."""
+    """Render blocks ``(label, psi, theta)``, each psi wrapped, as
+    P_a(psi) R_ab(theta) P_a(-psi) ..., closed by the diagonal of ``trailing``."""
     atoms: list[Atom] = []
     for (a, b), psi, theta in blocks:
         atoms.append(PhaseAtom({a: psi}))
         atoms.append(RotationAtom(min(a, b), max(a, b), theta))
-        atoms.append(PhaseAtom({a: _wrap(-_turn(psi), abs(_turn(psi)))}))
+        atoms.append(PhaseAtom({a: _wrap(-psi, psi)}))
     atoms.append(_diagonal(trailing))
     return Word(n=n, atoms=tuple(atoms))
 
@@ -275,86 +260,17 @@ def make_opor_chart(n: int, params) -> Word:
 
     ``params`` holds one (delta, theta) pair per block, ordered like
     :func:`canonical_order` for the all-singleton pattern, followed by the n
-    trailing diagonal phases.  Total length n^2.
+    trailing diagonal phases: n^2 finite ints or floats, held as floats.
     """
-    return opor_word(n, *_split_chart_params(DegeneracyPattern.singletons(n), params))
-
-
-def make_phase_adjoint_chart(n: int, params) -> Word:
-    """Chart of phase-conjugated rotations: each block's rotation is dressed
-    as P R P^dagger on the pair's designated index, with a trailing diagonal.
-
-    Same flat parameter layout as :func:`make_opor_chart` (n^2 values, of
-    which n(n+1)/2 are phases).
-    """
-    return _phase_adjoint_word(n, *_split_chart_params(DegeneracyPattern.singletons(n), params))
-
-
-# ---------------------------------------------------------------------------
-# local rewrites
-
-
-def rewrite_merge_phases(w: Word) -> Word:
-    """Merge adjacent diagonals and push support-disjoint diagonals rightward
-    past rotations, in one left-to-right pass.  The last output atom, when a
-    phase, is the diagonal still moving right: the next phase merges into it
-    and a rotation whose support misses it goes in front of it.  Evaluation is
-    unchanged.  Every diagonal, merged or not, is summed by :func:`_wrapped`;
-    zero angles and empty diagonals are dropped."""
-    atoms: list[Atom] = []
-    for atom in w.atoms:
-        diag = atoms[-1] if atoms and isinstance(atoms[-1], PhaseAtom) else None
-        if diag is None:
-            atoms.append(atom)
-        elif isinstance(atom, RotationAtom):
-            disjoint = {atom.i, atom.j}.isdisjoint(diag.deltas)
-            atoms.insert(len(atoms) - 1 if disjoint else len(atoms), atom)
-        else:
-            merged = _wrapped(diag.deltas, atom.deltas)
-            atoms[-1:] = [merged] if merged.deltas else []
-    out = (a if isinstance(a, RotationAtom) else _wrapped(a.deltas) for a in atoms)
-    return Word(n=w.n, atoms=tuple(a for a in out if isinstance(a, RotationAtom) or a.deltas))
-
-
-def _wrapped(*diagonals) -> PhaseAtom:
-    """Phase atom of each index's sum over the ``diagonals`` (index -> angle), zero
-    sums dropped: every term enters through :func:`_turn`, and the ``math.fsum`` of
-    an index's terms leaves through :func:`_wrap`, against the fsum of their magnitudes."""
-    terms: dict[int, list[float]] = {}
-    for diagonal in diagonals:
-        for k, v in diagonal.items():
-            terms.setdefault(k, []).append(_turn(v))
-    sums = {k: _wrap(math.fsum(ts), math.fsum(map(abs, ts))) for k, ts in terms.items()}
-    return PhaseAtom({k: v for k, v in sums.items() if v})
-
-
-def rewrite_pass_through(w: Word, at: int, direction: str = "right") -> Word:
-    """Pass the phase atom at position ``at`` through the neighbouring rotation.
-
-    ``direction="right"`` requires a rotation at ``at + 1``: the common phase
-    of the rotation's two rows emerges on its right and the difference stays
-    behind on the pair's smaller index.  ``direction="left"`` is the mirror
-    move for a rotation at ``at - 1``, from R diag(a, b) = diag(b, b) R
-    diag(a/b, 1).  A phase atom left with no angle is omitted.
-    """
-    atoms = list(w.atoms)
-    if not 0 <= at < len(atoms) or not isinstance(atoms[at], PhaseAtom):
-        raise ValueError(f"no phase atom at position {at}")
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    r = at + 1 if direction == "right" else at - 1
-    if not 0 <= r < len(atoms) or not isinstance(atoms[r], RotationAtom):
-        raise ValueError(f"no rotation to the {direction} of position {at}")
-    phase, rot = atoms[at], atoms[r]
-    dj = phase.deltas.get(rot.j, 0.0)
-    passed = {k: v for k, v in phase.deltas.items() if k not in (rot.i, rot.j)}
-    passed[rot.i] = passed[rot.j] = dj
-    moved = (_wrapped({rot.i: phase.deltas.get(rot.i, 0.0)}, {rot.i: -dj}), rot, _wrapped(passed))
-    out = [a for a in moved if not isinstance(a, PhaseAtom) or a.deltas]
-    if direction == "left":
-        out.reverse()
-    atoms[min(at, r) : max(at, r) + 1] = out
-    return Word(n=w.n, atoms=tuple(atoms))
+    order = canonical_order(DegeneracyPattern.singletons(n))
+    params = [float(_number(p, f"params[{k}]")) for k, p in enumerate(params)]
+    if len(params) != n * n:
+        raise ValueError(f"expected {n * n} parameters, got {len(params)}")
+    for k, p in enumerate(params):
+        if not math.isfinite(p):
+            raise ValueError(f"params[{k}]: expected a finite number, got {p}")
+    blocks = [(lab, params[2 * k], params[2 * k + 1]) for k, lab in enumerate(order)]
+    return opor_word(n, blocks, params[2 * len(order) :])
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +392,8 @@ def normalize(w: Word, target: WordForm) -> Word:
     in every normal form.  opor is idempotent.  Normalizing a km or phase-adjoint
     result again, or reaching km through the phase-adjoint form, keeps the
     rotations and phase keys, with phases equal within 1e-14 mod 2*pi.  An input
-    phase or angle of a full turn or more is reduced exactly, by :func:`_turn`, as
-    in the local rewrites; opor is the one range reduction (``range_reduce``)."""
+    phase or angle of a full turn or more is reduced exactly, by :func:`_turn`; opor
+    is the one range reduction (``range_reduce``)."""
     if target is WordForm.GENERAL or not w.atoms:
         return w
     if target is WordForm.ONE_PHASE_ONE_ROTATION:
@@ -502,6 +418,18 @@ def range_reduce(w: Word) -> Word:
 
 def _single_on(phase: PhaseAtom, rot: RotationAtom) -> bool:
     return len(phase.deltas) == 1 and next(iter(phase.deltas)) in (rot.i, rot.j)
+
+
+def _wrapped(*diagonals) -> PhaseAtom:
+    """Phase atom of each index's sum over the ``diagonals`` (index -> angle), zero
+    sums dropped: every term enters through :func:`_turn`, and the ``math.fsum`` of
+    an index's terms leaves through :func:`_wrap`, against the fsum of their magnitudes."""
+    terms: dict[int, list[float]] = {}
+    for diagonal in diagonals:
+        for k, v in diagonal.items():
+            terms.setdefault(k, []).append(_turn(v))
+    sums = {k: _wrap(math.fsum(ts), math.fsum(map(abs, ts))) for k, ts in terms.items()}
+    return PhaseAtom({k: v for k, v in sums.items() if v})
 
 
 def _conjugates(left: PhaseAtom, rot: RotationAtom, right: PhaseAtom) -> bool:

@@ -219,59 +219,12 @@ def rho_frame_jacobian(c, include_eigen=False):
     return np.concatenate([jac.real, jac.imag])
 
 
-# restart-until-stable reference for the one-pass ``rewrite_merge_phases``
+# atom-walking reference for the one-parse ``classify_form`` and ``count_phases``
 
 
 def _turned(deltas):
     """``deltas`` with each angle reduced by ``_turn``, as every rewrite takes a term."""
     return {idx: _turn(val) for idx, val in deltas.items()}
-
-
-def _wrapped_phase(sums, mags):
-    """Phase atom of the sums reduced by ``_wrap``, zero angles dropped."""
-    wrapped = {idx: _wrap(val, mags[idx]) for idx, val in sums.items()}
-    return PhaseAtom({idx: val for idx, val in wrapped.items() if val != 0.0})
-
-
-def fixed_point_merge(w):
-    """Merge adjacent diagonals and swap support-disjoint diagonals rightward
-    past rotations, restarting the scan until no move applies; then wrap the
-    diagonals that merged with nothing and drop empty ones.  Each term is
-    reduced by ``_turn`` before it is added or wrapped."""
-    atoms = list(w.atoms)
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k + 1 < len(atoms):
-            a, b = atoms[k], atoms[k + 1]
-            if isinstance(a, PhaseAtom) and isinstance(b, PhaseAtom):
-                merged = _turned(a.deltas)
-                mags = {idx: abs(val) for idx, val in merged.items()}
-                for idx, val in _turned(b.deltas).items():
-                    merged[idx] = merged.get(idx, 0.0) + val
-                    mags[idx] = mags.get(idx, 0.0) + abs(val)
-                merged = _wrapped_phase(merged, mags)
-                atoms[k : k + 2] = [merged] if merged.deltas else []
-                changed = True
-                continue
-            if (
-                isinstance(a, PhaseAtom)
-                and isinstance(b, RotationAtom)
-                and not ({b.i, b.j} & set(a.deltas))
-            ):
-                atoms[k], atoms[k + 1] = b, a
-                changed = True
-                continue
-            k += 1
-    for k, a in enumerate(atoms):
-        if isinstance(a, PhaseAtom):
-            turned = _turned(a.deltas)
-            atoms[k] = _wrapped_phase(turned, {idx: abs(val) for idx, val in turned.items()})
-    return Word(n=w.n, atoms=tuple(a for a in atoms if isinstance(a, RotationAtom) or a.deltas))
-
-
-# atom-walking reference for the one-parse ``classify_form`` and ``count_phases``
 
 
 def _is_single_phase_on(atom, rot):

@@ -29,7 +29,6 @@ from rhochart.degeneracy import (
 )
 from rhochart.numerics import adjoint, haar_unitary, max_abs_diff
 from rhochart.words import (
-    PhaseAtom,
     RotationAtom,
     WordForm,
     classify_form,
@@ -79,27 +78,24 @@ def test_criterion_3_jacobian_rank_oracle():
 
 
 def test_criterion_4_rewrite_preservation():
-    from rhochart.words import rewrite_merge_phases
-
     rng = np.random.default_rng(4)
     total, reachable = 1000, 0
-    worst = 0.0
+    forms = (WordForm.ONE_PHASE_ONE_ROTATION, WordForm.PHASE_ADJOINT, WordForm.KM)
+    worst = dict.fromkeys(forms, 0.0)
     for _ in range(total):
         n = int(rng.integers(2, 7))
         unique = bool(rng.random() < 0.7)
         w = random_word(n, rng, max_atoms=20, unique_pairs=unique)
-        u = evaluate(w)
-        worst = max(worst, max_abs_diff(u, evaluate(rewrite_merge_phases(w))))
-        out = normalize(w, WordForm.ONE_PHASE_ONE_ROTATION)
+        u, rotated = evaluate(w), any(isinstance(a, RotationAtom) for a in w.atoms)
+        for form in forms:
+            out = normalize(w, form)  # a word with no rotation becomes one diagonal, read as opor
+            assert classify_form(out) is (form if rotated else WordForm.ONE_PHASE_ONE_ROTATION)
+            worst[form] = max(worst[form], max_abs_diff(u, evaluate(out)))
         reachable += 1
-        assert classify_form(out) is WordForm.ONE_PHASE_ONE_ROTATION
-        worst = max(worst, max_abs_diff(u, evaluate(out)))
-    assert worst < 1e-12
+    assert max(worst.values()) < 1e-12
     assert reachable == total
-    print(
-        f"ACCEPTANCE 4 PASS: {reachable}/{total} words normalized, "
-        f"max evaluation drift {worst:.2e} < 1e-12"
-    )
+    drifts = ", ".join(f"{form.value} {drift:.2e}" for form, drift in worst.items())
+    print(f"ACCEPTANCE 4 PASS: {reachable}/{total} words normalized, max evaluation drift {drifts} < 1e-12")
 
 
 def test_criterion_5_km_phase_count():

@@ -5,7 +5,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +18,8 @@ from rhochart.words import (
     WordForm,
     evaluate,
     make_opor_chart,
-    make_phase_adjoint_chart,
     normalize,
     range_reduce,
-    rewrite_merge_phases,
-    rewrite_pass_through,
     word_to_json,
 )
 
@@ -42,16 +38,16 @@ def wrapped(v):
 # the reproducers
 
 
-def test_merge_drops_a_sum_that_cancels_to_rounding():
+def test_a_merged_sum_that_cancels_to_rounding_is_zero():
     w = Word(n=2, atoms=(PhaseAtom({1: 0.7}), PhaseAtom({1: -0.7000000000000001})))
-    assert rewrite_merge_phases(w).atoms == ()
+    assert normalize(w, OPOR).atoms == (PhaseAtom({1: 0.0, 2: 0.0}),)
 
 
-def test_pass_through_leaves_no_residual_that_cancels_to_rounding():
+def test_a_block_residual_that_cancels_to_rounding_is_zero():
     rot = RotationAtom(1, 2, 0.3)
     w = Word(n=2, atoms=(PhaseAtom({1: 0.7, 2: 0.7000000000000001}), rot))
-    out = rewrite_pass_through(w, 0, "right")
-    assert out.atoms == (rot, PhaseAtom({1: 0.7000000000000001, 2: 0.7000000000000001}))
+    out = normalize(w, OPOR)
+    assert out.atoms == (PhaseAtom({1: 0.0}), rot, PhaseAtom({1: 0.7000000000000001, 2: 0.7000000000000001}))
 
 
 def test_range_reduce_adds_no_flip_for_a_rounding_level_angle():
@@ -98,26 +94,10 @@ def turn_words(draw):
     return Word(n=n, atoms=tuple(atoms))
 
 
-def pass_moves(w):
-    """(output, the atoms the move produced) for every legal pass."""
-    for at, atom in enumerate(w.atoms):
-        for direction, r in (("right", at + 1), ("left", at - 1)):
-            beside = 0 <= r < len(w.atoms) and isinstance(w.atoms[r], RotationAtom)
-            if isinstance(atom, PhaseAtom) and beside:
-                out = rewrite_pass_through(w, at, direction)
-                kept_after = len(w.atoms) - 1 - max(at, r)
-                yield out, out.atoms[min(at, r) : len(out.atoms) - kept_after]
-
-
 @settings(max_examples=300, deadline=None)
 @given(turn_words())
 def test_every_emitted_phase_is_wrapped(w):
     u = evaluate(w)
-    merged = rewrite_merge_phases(w)
-    for out, produced in [(merged, merged.atoms), *pass_moves(w)]:
-        assert all(wrapped(v) for v in phase_values(produced))
-        assert all(any(a.deltas.values()) for a in produced if isinstance(a, PhaseAtom))
-        assert max_abs_diff(evaluate(out), u) < 1e-12
     opor = normalize(w, OPOR)
     for out in (opor, normalize(w, PA), normalize(w, KM), range_reduce(opor), range_reduce(w)):
         assert all(wrapped(v) for v in phase_values(out.atoms))
@@ -249,36 +229,25 @@ def test_a_large_angle_is_reduced_through_sin_and_cos():
 
 def test_a_huge_phase_keeps_the_evaluation():
     """A phase of a full turn or more is reduced through sin and cos before it
-    is summed; ``% fl(2*pi)`` alone moved this word's evaluation by 1.63."""
-    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4)))
-    for out in (normalize(w, OPOR), normalize(w, KM), normalize(w, PA), range_reduce(w)):
-        assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out
-
-
-def test_a_huge_phase_keeps_the_phase_adjoint_chart():
-    """The chart's closing -psi is reduced by ``_turn`` before it is wrapped; wrapped
-    raw, -1e300 fell in the zero band and the chart was P(psi) R P(0), 1.63 away."""
-    chart = make_phase_adjoint_chart(2, [1e300, 0.4, 0.0, 0.0])
-    dressed = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4), PhaseAtom({1: -1e300})))
-    assert max_abs_diff(evaluate(chart), evaluate(dressed)) <= 1e-12
-
-
-def test_a_huge_phase_keeps_the_local_rewrites():
-    """The local rewrites take each phase term through sin and cos before they sum
-    it; raw sums reduced by ``% fl(2*pi)`` moved the first word's evaluation by 1.63
-    in both rewrites."""
+    is summed; ``% fl(2*pi)`` alone moved the first word's evaluation by 1.63."""
     rot = RotationAtom(1, 2, 0.4)
-    w = Word(n=2, atoms=(PhaseAtom({1: 1e300}), rot))
-    left = Word(n=2, atoms=(rot, PhaseAtom({1: 1e300, 2: -1e12})))
     huge = (PhaseAtom({1: 1e300, 2: -1e12}), PhaseAtom({1: -3e299, 2: 1e12, 3: 7e200}))
-    two = Word(n=3, atoms=(*huge, rot))
-    merged = rewrite_merge_phases(two)
-    assert [type(a) for a in merged.atoms] == [PhaseAtom, RotationAtom]  # the diagonals merged
-    checks = [
-        (w, rewrite_merge_phases(w)),
-        (w, rewrite_pass_through(w, 0, "right")),
-        (left, rewrite_pass_through(left, 1, "left")),
-        (two, merged),
-    ]
-    for word, out in checks:
-        assert max_abs_diff(evaluate(out), evaluate(word)) <= 1e-12, out
+    words = (
+        Word(n=2, atoms=(PhaseAtom({1: 1e300}), rot)),
+        Word(n=2, atoms=(rot, PhaseAtom({1: 1e300, 2: -1e12}))),
+        Word(n=3, atoms=(*huge, rot)),
+    )
+    for w in words:
+        for out in (normalize(w, OPOR), normalize(w, KM), normalize(w, PA), range_reduce(w)):
+            assert max_abs_diff(evaluate(out), evaluate(w)) <= 1e-12, out
+
+
+def test_a_huge_phase_keeps_the_phase_adjoint_form():
+    """The pair P(x) R P(-x) at x = 1e300: each term is reduced by ``_turn`` before
+    it is summed; wrapped raw, -1e300 fell in the zero band and the word read as
+    P(psi) R P(0), 1.63 away."""
+    dressed = Word(n=2, atoms=(PhaseAtom({1: 1e300}), RotationAtom(1, 2, 0.4), PhaseAtom({1: -1e300})))
+    out = normalize(dressed, PA)
+    (psi,), (closing,) = out.atoms[0].deltas.values(), out.atoms[2].deltas.values()
+    assert closing == (0.0 if psi == 0.0 else TWO_PI - psi)
+    assert max_abs_diff(evaluate(out), evaluate(dressed)) <= 1e-12

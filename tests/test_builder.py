@@ -22,20 +22,18 @@ from rhochart.builder import (
     DensityChart,
     build_commutant,
     build_density,
+    _draw,
     _jacobian,
     _require_interior,
     dropped_blocks,
     jacobian_rank,
     kept_blocks,
     kept_word,
-    prune_equivalence,
     random_commutant_spec,
     random_density_chart,
-    random_full_params,
-    split_full_params,
     validate_density,
 )
-from rhochart.charts import EigenChart, class_masses, eigen_matrix, eigenvalues
+from rhochart.charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
 from rhochart.degeneracy import (
     DegeneracyPattern,
     all_partitions,
@@ -44,7 +42,7 @@ from rhochart.degeneracy import (
     redundant_params,
 )
 from rhochart.numerics import adjoint, max_abs_diff
-from rhochart.words import Word, evaluate, make_opor_chart
+from rhochart.words import evaluate, opor_word
 
 TWO_PI = 2 * math.pi
 
@@ -88,9 +86,9 @@ def test_kept_blocks_match_canonical_order():
 
 def test_kept_blocks_are_the_cross_class_pairs():
     for pattern in map(DegeneracyPattern, all_multiplicity_lists(8)):
-        order = canonical_order(pattern)
-        assert kept_blocks(pattern) == tuple(lab for lab in order if not pattern.same_class(*lab))
-        assert dropped_blocks(pattern) == tuple(lab for lab in order if pattern.same_class(*lab))
+        order, cls = canonical_order(pattern), pattern._class
+        assert kept_blocks(pattern) == tuple((a, b) for a, b in order if cls[a] != cls[b])
+        assert dropped_blocks(pattern) == tuple((a, b) for a, b in order if cls[a] == cls[b])
 
 
 def test_block_param_is_a_block_tuple():
@@ -127,16 +125,23 @@ def test_charts_keep_their_own_copy_of_the_callers_lists():
     assert held == spec and np.array_equal(build_commutant(held), build_commutant(spec))
 
 
-def test_split_full_params_n3_example():
-    pattern = pat(2, 1)
-    full = [k / 10 for k in range(9)]
-    kept, dropped, trailing = split_full_params(full, pattern)
+def test_kept_and_dropped_blocks_of_pattern_2_1():
     # canonical order (3,1), (2,3), (1,2): the in-class block and the trailing
-    # diagonal are the deleted parameters
-    assert [bp.block for bp in kept] == [(3, 1), (2, 3)]
-    assert [bp.block for bp in dropped] == [(1, 2)]
-    assert trailing == (0.6, 0.7, 0.8)
-    assert 2 * len(dropped) + len(trailing) == redundant_params(pattern) + 3
+    # diagonal are the commutant's parameters
+    pattern = pat(2, 1)
+    spec = random_commutant_spec(pattern, np.random.default_rng(0))
+    assert kept_blocks(pattern) == ((3, 1), (2, 3))
+    assert dropped_blocks(pattern) == tuple(bp.block for bp in spec.block_params) == ((1, 2),)
+    assert len(spec.phases) == 3
+    assert 2 * len(spec.block_params) + len(spec.phases) == redundant_params(pattern) + 3
+
+
+def test_singletons_drop_only_the_trailing_phases():
+    pattern = pat(1, 1, 1)
+    spec = random_commutant_spec(pattern, np.random.default_rng(14))
+    assert dropped_blocks(pattern) == spec.block_params == ()
+    assert len(spec.phases) == 3
+    assert 2 * len(kept_blocks(pattern)) == orbit_dim(pattern) == 6
 
 
 # density assembly
@@ -310,75 +315,33 @@ def test_commutant_invariance_of_density():
         assert max_abs_diff(u @ d @ adjoint(u), uc @ d @ adjoint(uc)) < 1e-12
 
 
-# pruning
+# the commutant factors out
 
-def test_prune_keeps_density_when_deleted_params_zero():
+def test_the_full_chart_is_the_kept_word_times_a_commutant():
+    """The paper's claim: the full chart word, kept blocks then in-class blocks
+    then the trailing diagonal, gives the rho of the pruned chart, since every
+    parameter it drops belongs to a commutant of the eigen matrix."""
+    rng = np.random.default_rng(9)
+    for mults in [(1, 1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 1, 1), (1, 3, 1), (2, 3)]:
+        pattern = pat(*mults)
+        chart, spec = random_density_chart(pattern, rng), random_commutant_spec(pattern, rng)
+        u = evaluate(opor_word(pattern.n, chart.unitary_params + spec.block_params, spec.phases))
+        assert max_abs_diff(u @ eigen_matrix(chart.eigen) @ adjoint(u), build_density(chart)) < 1e-12
+        assert 2 * len(spec.block_params) + len(spec.phases) == redundant_params(pattern) + pattern.n
+
+
+def test_a_zero_commutant_leaves_the_kept_word():
+    """In-class blocks and trailing phases all 0: the full chart word evaluates to
+    the kept word's unitary, bit for bit, and the commutant to the identity."""
     rng = np.random.default_rng(8)
     for mults in [(2, 1), (1, 2), (2, 2), (3, 1)]:
         pattern = pat(*mults)
-        full = random_full_params(pattern, rng)
-        order = canonical_order(pattern)
-        for k, lab in enumerate(order):
-            if pattern.same_class(*lab):
-                full[2 * k] = 0.0
-                full[2 * k + 1] = 0.0
-        full[2 * len(order):] = [0.0] * pattern.n
-        chart = prune_equivalence(full, pattern, eigen_angles=rng.uniform(0.2, 1.2, pattern.num_classes - 1))
-        full_word = make_opor_chart(pattern.n, _reorder_to_singleton(full, pattern))
-        u = evaluate(full_word)
-        d = eigen_matrix(chart.eigen)
-        assert max_abs_diff(u @ d @ adjoint(u), build_density(chart)) < 1e-12
-
-
-def _reorder_to_singleton(full, pattern):
-    """Full-chart parameters are laid out in canonical_order(pattern); the
-    plain chart constructor expects the all-singleton order instead."""
-    order = canonical_order(pattern)
-    singleton = canonical_order(DegeneracyPattern.singletons(pattern.n))
-    by_label = {lab: (full[2 * k], full[2 * k + 1]) for k, lab in enumerate(order)}
-    out = []
-    for lab in singleton:
-        out.extend(by_label[lab])
-    out.extend(full[2 * len(order):])
-    return out
-
-
-def test_prune_singletons_deletes_only_trailing_phases():
-    pattern = pat(1, 1, 1)
-    rng = np.random.default_rng(14)
-    full = random_full_params(pattern, rng)
-    kept, dropped, trailing = split_full_params(full, pattern)
-    assert dropped == ()
-    assert len(trailing) == 3
-    assert 2 * len(kept) == orbit_dim(pattern) == 6
-
-
-def test_prune_equivalence_with_nonzero_deleted_params():
-    rng = np.random.default_rng(9)
-    for mults in [(1, 1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 1, 1)]:
-        pattern = pat(*mults)
-        full = random_full_params(pattern, rng)
-        chart = prune_equivalence(
-            full, pattern, eigen_angles=rng.uniform(0.2, 1.2, pattern.num_classes - 1)
-        )
-        kept, dropped, trailing = split_full_params(full, pattern)
-        # the deleted parameters form a commutant: appending its word to the
-        # kept word reproduces the full chart's density exactly
-        spec = CommutantSpec(pattern=pattern, block_params=dropped, phases=trailing)
-        u_full = evaluate(kept_word(chart)) @ build_commutant(spec)
-        d = eigen_matrix(chart.eigen)
-        rho_full = u_full @ d @ adjoint(u_full)
-        assert max_abs_diff(rho_full, build_density(chart)) < 1e-12
-        assert 2 * len(dropped) + len(trailing) == redundant_params(pattern) + pattern.n
-
-
-def test_prune_default_spectrum_is_interior():
-    pattern = pat(2, 1)
-    rng = np.random.default_rng(10)
-    chart = prune_equivalence(random_full_params(pattern, rng), pattern)
-    values = eigenvalues(chart.eigen)
-    assert abs(sum(values) - 1.0) < 1e-12
-    assert values[0] != values[2]
+        chart = random_density_chart(pattern, rng)
+        zero = CommutantSpec(pattern, [BlockParam(lab, 0.0, 0.0) for lab in dropped_blocks(pattern)], [0.0] * pattern.n)
+        assert np.array_equal(build_commutant(zero), np.eye(pattern.n))
+        u = evaluate(opor_word(pattern.n, chart.unitary_params + zero.block_params, zero.phases))
+        assert np.array_equal(u, evaluate(kept_word(chart)))
+        assert max_abs_diff(u @ eigen_matrix(chart.eigen) @ adjoint(u), build_density(chart)) < 1e-12
 
 
 # rank oracle
@@ -496,7 +459,7 @@ def sampler_corpus():
 
 
 def test_seeded_samplers_match_the_golden_digest():
-    """Charts, commutants and full parameter vectors drawn from two seeds, byte for
+    """Charts, commutants and full-chart parameter draws from two seeds, byte for
     byte, each followed by the generator's next draw: a sampler that reordered or
     dropped a draw would change the digest even where its own output agrees."""
     digest, outputs = hashlib.sha256(), 0
@@ -508,7 +471,7 @@ def test_seeded_samplers_match_the_golden_digest():
                 lambda: random_density_chart(pattern, rng).to_json(),
                 lambda: random_density_chart(pattern, rng, interior=True).to_json(),
                 lambda: repr(random_commutant_spec(pattern, rng)),
-                lambda: random_full_params(pattern, rng),
+                lambda: _draw(rng, len(canonical_order(pattern)), phases=pattern.n),
             ):
                 out = draw()
                 digest.update(f"{json.dumps(out)} {rng.random()!r}\n".encode())
@@ -583,7 +546,8 @@ def test_exact_jacobian_matches_finite_differences(include_eigen):
             scale = np.max(np.abs(reference), initial=0.0)
             assert np.max(np.abs(exact - selected), initial=0.0) <= 1e-6 * scale, mults
             # what the eigenframe drops is zero: in-class entries, unitary columns' diagonal
-            same = np.array([[chart.pattern.same_class(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+            cls = np.array(chart.pattern._class[1:])
+            same = cls[:, None] == cls
             in_class = frame[same & ~np.eye(n, dtype=bool)]
             unitary_diagonal = diagonal[:, : 2 * len(chart.unitary_params)]
             for dropped in (in_class, unitary_diagonal):
@@ -601,7 +565,10 @@ def test_eigenframe_jacobian_keeps_rho_frame_singular_values(include_eigen):
     charts = [random_density_chart(pat(*m), rng, interior=True) for m in mults]
     if not include_eigen:
         singletons = DegeneracyPattern.singletons(32)
-        charts.append(prune_equivalence(random_full_params(singletons, rng), singletons))
+        x = _draw(rng, len(kept_blocks(singletons)), phases=32)  # the trailing phases go unused
+        masses = [2.0 * (m + 1) / (32 * 33) for m in range(32)]  # class masses 1 : 2 : ... : 32
+        eigen = fit_chart(spread(singletons, masses), singletons)
+        charts.append(DensityChart(singletons, eigen, map(BlockParam, kept_blocks(singletons), x[0::2], x[1::2])))
     for chart in charts:
         pattern = chart.pattern
         jac = _jacobian(chart, include_eigen)

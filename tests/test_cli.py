@@ -131,7 +131,7 @@ def test_build_arity_mismatch_exit_2(capsys, tmp_path):
 
 def test_rewrite_opor(capsys, tmp_path):
     rng = np.random.default_rng(0)
-    word = rc.make_phase_adjoint_chart(3, rng.uniform(0, 2, 9))
+    word = rc.normalize(rc.make_opor_chart(3, rng.uniform(0, 2, 9)), rc.WordForm.PHASE_ADJOINT)
     path = tmp_path / "word.json"
     path.write_text(json.dumps(rc.word_to_json(word)))
     obj = run_json(capsys, ["rewrite", "--to", "opor", "--in", str(path)])
@@ -517,7 +517,9 @@ def test_matrix_commands_reject_dimension_above_cap(capsys, tmp_path, command):
 
 
 def test_an_eigen_angle_out_of_range_names_its_element(capsys, tmp_path):
-    chart = rc.prune_equivalence(np.full(9, 0.5), rc.DegeneracyPattern.from_multiplicities([1, 1, 1]), [0.3, 0.2])
+    p = rc.DegeneracyPattern((1, 1, 1))
+    params = [rc.BlockParam(b, 0.5, 0.5) for b in rc.canonical_order(p)]
+    chart = rc.DensityChart(p, rc.EigenChart(p, [0.3, 0.2]), params)
     path = tmp_path / "chart.json"
     for angles, line in (
         ([0.3, 2.0], "error: eigen_angles[1]: angle 2.0 outside [0, pi/2]"),

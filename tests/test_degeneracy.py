@@ -108,15 +108,6 @@ def test_pattern_errors_name_the_fault(call, message):
         call()
 
 
-@pytest.mark.parametrize("bad", [0, 4])
-def test_same_class_rejects_an_index_outside_the_pattern(bad):
-    # the class table has a slot 0 and a last slot, neither of which is an index
-    p = pat(2, 1)
-    for i, j in [(bad, 1), (1, bad)]:
-        with pytest.raises(ValueError, match="outside 1..3"):
-            p.same_class(i, j)
-
-
 # canonical block order
 
 def test_oriented_pair():
@@ -178,7 +169,7 @@ def test_building_and_counting_a_pattern_leave_its_order_unmade(monkeypatch, cap
     monkeypatch.setattr(degeneracy, "oriented_pair", refuse)  # every order is built from its labels
     p = DegeneracyPattern.singletons(256)
     counts = [f(p) for f in (degrees_of_degeneracy, redundant_params, internal_params, orbit_dim)]
-    assert counts == [0, 0, 255**2, 256**2 - 256] and p.same_class(1, 2) is False
+    assert counts == [0, 0, 255**2, 256**2 - 256]
     assert main(["count", "--pattern", ",".join(["1"] * 256)]) == 0
     assert '"orbit_dim": 65280' in capsys.readouterr().out
 
@@ -191,7 +182,7 @@ def test_canonical_order_properties(mults):
     assert len(set(frozenset(lab) for lab in order)) == len(order)
     seen_intra = False
     for a, b in order:
-        if p.same_class(a, b):
+        if p._class[a] == p._class[b]:
             seen_intra = True
         else:
             assert not seen_intra, "inter-class pair after an in-class pair"

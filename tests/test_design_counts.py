@@ -25,9 +25,9 @@ def settable_values():
     ]
 
 
-def test_the_package_exports_44_names():
+def test_the_package_exports_40_names():
     names = exported_names()
-    assert len(names) == len(set(names)) == 44, names
+    assert len(names) == len(set(names)) == 40, names
     modules = [name for name in names if isinstance(getattr(rhochart, name), types.ModuleType)]
     assert modules == [], modules
 

@@ -186,8 +186,8 @@ def test_rewrite_above_the_bound_checks_on_numpy(tmp_path):
         assert out["max_abs_diff"] == max_abs_diff(evaluate(word), evaluate(km))
 
 
-#: the word algebra end to end on one word: decode, the three normal forms, both
-#: local rewrites, form recognition, phase counts and encoding
+#: the word algebra end to end on one word: decode, the three normal forms, form
+#: recognition, phase counts and encoding
 WORD_ALGEBRA = """
 import json
 from rhochart import words as w
@@ -195,9 +195,8 @@ word = w.word_from_json({"n": 3, "atoms": [
     {"phase": {"1": 0.3, "3": 7.5}}, {"rot": [1, 3], "theta": 2.0},
     {"phase": {"2": -1.25}}, {"rot": [2, 3], "theta": -0.4}, {"phase": {"1": 1e300}}]})
 outs = [w.normalize(word, form) for form in w.WordForm if form is not w.WordForm.GENERAL]
-outs += [w.rewrite_merge_phases(word), w.rewrite_pass_through(word, 0), w.rewrite_pass_through(word, 2, "left")]
 print(json.dumps([[w.word_to_json(out), w.classify_form(out).value] for out in outs]))
-print(json.dumps([w.count_phases(out) for out in outs[:3]]))
+print(json.dumps([w.count_phases(out) for out in outs]))
 """
 
 
