@@ -9,9 +9,9 @@ decomposition of arbitrary unitaries, and a JSON CLI.
 Importing the package loads none of its modules: each exported name, and
 each module read as an attribute, loads on first use (PEP 562).  So
 ``import rhochart`` and the counting formulas of :mod:`rhochart.degeneracy`
-never load numpy.  Nor do the word algebra of :mod:`rhochart.words`, short of
-:func:`evaluate`, and the JSON reading rules of :mod:`rhochart.jsonio`; numpy
-loads with the first array.
+never load numpy.  Nor do the word algebra and chart values of :mod:`rhochart.words`
+and :mod:`rhochart.charts`, short of :func:`evaluate` and :func:`eigen_matrix`, and
+the JSON reading rules of :mod:`rhochart.jsonio`; numpy loads with the first array.
 """
 
 import sys
@@ -20,11 +20,11 @@ from importlib import import_module
 
 #: exported names by home module
 _EXPORTS = {
-    "builder": (
-        "BlockParam", "CommutantSpec", "DensityChart", "build_commutant", "build_density",
-        "jacobian_rank", "kept_word",
+    "builder": ("build_commutant", "build_density", "jacobian_rank", "kept_word"),
+    "charts": (
+        "BlockParam", "CommutantSpec", "DensityChart", "EigenChart", "eigen_matrix", "eigenvalues",
+        "fit_chart",
     ),
-    "charts": ("EigenChart", "eigen_matrix", "eigenvalues", "fit_chart"),
     "decompose": ("DecompositionResult", "NotUnitaryError", "decompose"),
     "degeneracy": (
         "DegeneracyPattern", "all_partitions", "canonical_order", "degrees_of_degeneracy",

@@ -1,30 +1,22 @@
-"""Assemble density matrices from minimal charts and their commutants.
-
-A density chart holds a degeneracy pattern, eigenvalue angles and one
-(phase, angle) pair per rotation block that joins two different eigenvalue
-classes.  Blocks inside a class commute with the eigenvalue matrix and are
-pruned, together with the trailing diagonal, so the chart carries exactly
-``orbit_dim(pattern)`` unitary parameters.  The numerical oracle for that
-count is the rank of the exact Jacobian of rho, read in the eigenframe of rho
-as one square system over the chart's blocks after one sweep over the word.
-
-Charts, commutant specs and block parameters are validated tuples, like the
-value types of :mod:`rhochart.words`; a chart keeps each sequence as a tuple.
+"""Arrays from the chart values of :mod:`rhochart.charts`: rho = U D U^dagger of a
+density chart, the commutant of a spec, seeded samplers of both, and the
+numerical oracle for ``orbit_dim``.  That oracle is the rank of the exact
+Jacobian of rho, read in the eigenframe of rho as one square system over the
+chart's blocks after one sweep over the word.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from typing import Iterable
 
 import numpy as np
 
 from . import numerics
-from .charts import EigenChart, _angle, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
-from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
-from .jsonio import HALF_PI, TWO_PI, _built, _number, chart_fields
-from .numerics import DensityReport, validate_density  # the benchmark times builder.validate_density
+from .charts import BlockParam, CommutantSpec, DensityChart, EigenChart, class_masses, dropped_blocks
+from .charts import eigen_matrix, eigenvalues, fit_chart, kept_blocks, spread
+from .degeneracy import DegeneracyPattern, canonical_order  # the benchmark's tracer rebinds canonical_order here
+from .jsonio import HALF_PI, TWO_PI
+from .numerics import validate_density  # the benchmark times builder.validate_density
 from .words import Word, evaluate, opor_word, row_kernel
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
@@ -33,99 +25,6 @@ INTERIOR_MARGIN = 1e-6
 
 #: minimum class-mass separation for a chart to count as interior
 MASS_GAP = 1e-6
-
-
-class BlockParam(namedtuple("BlockParam", "block delta theta")):
-    """(phase, angle) of one chart block, tagged with its oriented pair label;
-    as a tuple it is the word algebra's ``(label, delta, theta)`` block, checked
-    here so that ``opor_word`` need not check it again."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks ranges too
-
-    def __new__(cls, block, delta, theta):
-        a, b = block if isinstance(block, tuple) and len(block) == 2 else (0, 0)
-        if type(a) is not int or type(b) is not int or a == b or min(a, b) < 1:  # a bool is not an index
-            raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
-        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
-            _number(delta, "delta"), _number(theta, "theta")
-        if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
-            raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
-        return tuple.__new__(cls, (block, delta, theta))
-
-
-def kept_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
-    """Chart blocks that survive pruning: the cross-class pairs leading ``canonical_order``."""
-    return canonical_order(pattern)[: orbit_dim(pattern) // 2]
-
-
-def dropped_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
-    return canonical_order(pattern)[orbit_dim(pattern) // 2 :]
-
-
-class DensityChart(namedtuple("DensityChart", "pattern eigen unitary_params")):
-    """Minimal coordinates of a density matrix with the given spectrum type."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, pattern: DegeneracyPattern, eigen: EigenChart, unitary_params: Iterable[BlockParam]):
-        unitary_params = tuple(unitary_params)
-        if eigen.pattern != pattern:
-            raise ValueError("eigen chart pattern differs from the density pattern")
-        expected = kept_blocks(pattern)
-        got = tuple(bp.block for bp in unitary_params)
-        if got != expected:
-            raise ValueError(f"expected blocks {expected}, got {got}")
-        return tuple.__new__(cls, (pattern, eigen, unitary_params))
-
-    def to_json(self) -> dict:
-        return {
-            "pattern": list(self.pattern.multiplicities),
-            "eigen_angles": list(self.eigen.angles),
-            "unitary_params": [
-                {"block": list(bp.block), "delta": bp.delta, "theta": bp.theta}
-                for bp in self.unitary_params
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityChart":
-        return cls._from_fields(*chart_fields(obj))
-
-    @classmethod
-    def _from_fields(cls, mults, angles, params) -> "DensityChart":
-        """The chart of :func:`jsonio.chart_fields`' fields, a value its type refuses
-        named by the JSON path it was read from."""
-        pattern = _built("pattern", DegeneracyPattern.from_multiplicities, mults)
-        angles = tuple(_built(f"eigen_angles[{k}]", _angle, a) for k, a in enumerate(angles))
-        eigen = _built("eigen_angles", EigenChart, pattern, angles)
-        params = tuple(_built(f"unitary_params[{k}]", BlockParam, *p) for k, p in enumerate(params))
-        return _built("unitary_params", cls, pattern, eigen, params)
-
-
-class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
-    """Parameters of a unitary commuting with every pattern-respecting diagonal.
-
-    Holds one (phase, angle) pair per in-class rotation block plus a full
-    diagonal of n finite real phases; redundant_params(pattern) + n values in total.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, pattern: DegeneracyPattern, block_params: Iterable[BlockParam], phases: Iterable[float]):
-        block_params, phases = tuple(block_params), tuple(phases)
-        expected = dropped_blocks(pattern)
-        got = tuple(bp.block for bp in block_params)
-        if got != expected:
-            raise ValueError(f"expected in-class blocks {expected}, got {got}")
-        if len(phases) != pattern.n:
-            raise ValueError(f"expected {pattern.n} diagonal phases")
-        for k, phase in enumerate(phases):
-            if not math.isfinite(_number(phase, f"phases[{k}]")):
-                raise ValueError(f"phases[{k}]: expected a finite number, got {phase!r}")
-        return tuple.__new__(cls, (pattern, block_params, phases))
 
 
 def kept_word(c: DensityChart) -> Word:

@@ -1,21 +1,30 @@
-"""Hypersphere charts for eigenvalue matrices.
+"""The chart value layer: the minimal chart of a density matrix and of its commutant.
 
-Squared polar coordinates on a k-sphere give k class masses that are
-non-negative and sum to one by construction; each mass is then shared
-equally by the indices of its class.  Degenerate spectra therefore use a
-lower-dimensional sphere, with one angle per class boundary.
+A density chart holds a degeneracy pattern, eigenvalue angles and one
+(phase, angle) pair per rotation block that joins two eigenvalue classes; the
+in-class blocks commute with the eigenvalue matrix and are pruned, with the
+trailing diagonal, to ``orbit_dim(pattern)`` unitary parameters.  The
+eigenvalue angles are squared polar coordinates on a k-sphere: k class masses,
+non-negative and summing to one by construction, each shared equally by the
+indices of its class, so a degenerate spectrum has fewer angles.
+
+The charts, commutant specs and block parameters are validated tuples, like the
+value types of :mod:`rhochart.words`.  Nothing here loads numpy but
+:func:`eigen_matrix`, on its first call: :meth:`DensityChart.from_json` refuses
+a chart by the JSON path of the value at fault before any array exists.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+from .degeneracy import DegeneracyPattern, canonical_order, orbit_dim
+from .jsonio import HALF_PI, TWO_PI, _built, _json, _number
 
-from .degeneracy import DegeneracyPattern
-from .jsonio import HALF_PI, _number
+if TYPE_CHECKING:
+    import numpy as np
 
 FIT_TOL = 1e-9
 
@@ -77,6 +86,8 @@ def eigenvalues(c: EigenChart) -> list[float]:
 
 
 def eigen_matrix(c: EigenChart) -> np.ndarray:
+    import numpy as np  # here, not at the top: the chart values run without it
+
     return np.diag(np.asarray(eigenvalues(c), dtype=np.complex128))
 
 
@@ -109,3 +120,100 @@ def fit_chart(values, pattern: DegeneracyPattern) -> EigenChart:
         angles.append(math.atan2(math.sqrt(max(partial, 0.0)), math.sqrt(max(masses[m], 0.0))))
         partial += masses[m]
     return EigenChart(pattern=pattern, angles=tuple(angles))
+
+
+class BlockParam(namedtuple("BlockParam", "block delta theta")):
+    """(phase, angle) of one chart block, tagged with its oriented pair label;
+    as a tuple it is the word algebra's ``(label, delta, theta)`` block, checked
+    here so that ``opor_word`` need not check it again."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks ranges too
+
+    def __new__(cls, block, delta, theta):
+        a, b = block if isinstance(block, tuple) and len(block) == 2 else (0, 0)
+        if type(a) is not int or type(b) is not int or a == b or min(a, b) < 1:  # a bool is not an index
+            raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
+        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
+            _number(delta, "delta"), _number(theta, "theta")
+        if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
+            raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
+        return tuple.__new__(cls, (block, delta, theta))
+
+
+def kept_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
+    """Chart blocks that survive pruning: the cross-class pairs leading ``canonical_order``."""
+    return canonical_order(pattern)[: orbit_dim(pattern) // 2]
+
+
+def dropped_blocks(pattern: DegeneracyPattern) -> tuple[tuple[int, int], ...]:
+    return canonical_order(pattern)[orbit_dim(pattern) // 2 :]
+
+
+class DensityChart(namedtuple("DensityChart", "pattern eigen unitary_params")):
+    """Minimal coordinates of a density matrix with the given spectrum type."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, pattern: DegeneracyPattern, eigen: EigenChart, unitary_params: Iterable[BlockParam]):
+        unitary_params = tuple(unitary_params)
+        if eigen.pattern != pattern:
+            raise ValueError("eigen chart pattern differs from the density pattern")
+        expected = kept_blocks(pattern)
+        got = tuple(bp.block for bp in unitary_params)
+        if got != expected:
+            raise ValueError(f"expected blocks {expected}, got {got}")
+        return tuple.__new__(cls, (pattern, eigen, unitary_params))
+
+    def to_json(self) -> dict:
+        return {
+            "pattern": list(self.pattern.multiplicities),
+            "eigen_angles": list(self.eigen.angles),
+            "unitary_params": [
+                {"block": list(bp.block), "delta": bp.delta, "theta": bp.theta}
+                for bp in self.unitary_params
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "DensityChart":
+        """The chart of ``obj``: the type and shape of every field are read first, then
+        the values checked, a refusal named by the JSON path its value came from."""
+        obj = _json(obj, "input", dict)
+        mults = _json(obj.get("pattern"), "pattern", [int])
+        angles = _json(obj.get("eigen_angles"), "eigen_angles", [float])
+        params = []
+        for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):
+            at = f"unitary_params[{pos}]"
+            block = tuple(_json(e.get("block"), f"{at}.block", (int, int)))
+            params.append((block, *(_json(e.get(k), f"{at}.{k}", float) for k in ("delta", "theta"))))
+        pattern = _built("pattern", DegeneracyPattern.from_multiplicities, mults)
+        angles = tuple(_built(f"eigen_angles[{k}]", _angle, a) for k, a in enumerate(angles))
+        eigen = _built("eigen_angles", EigenChart, pattern, angles)
+        params = tuple(_built(f"unitary_params[{k}]", BlockParam, *p) for k, p in enumerate(params))
+        return _built("unitary_params", cls, pattern, eigen, params)
+
+
+class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
+    """Parameters of a unitary commuting with every pattern-respecting diagonal.
+
+    Holds one (phase, angle) pair per in-class rotation block plus a full
+    diagonal of n finite real phases; redundant_params(pattern) + n values in total.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, pattern: DegeneracyPattern, block_params: Iterable[BlockParam], phases: Iterable[float]):
+        block_params, phases = tuple(block_params), tuple(phases)
+        expected = dropped_blocks(pattern)
+        got = tuple(bp.block for bp in block_params)
+        if got != expected:
+            raise ValueError(f"expected in-class blocks {expected}, got {got}")
+        if len(phases) != pattern.n:
+            raise ValueError(f"expected {pattern.n} diagonal phases")
+        for k, phase in enumerate(phases):
+            if not math.isfinite(_number(phase, f"phases[{k}]")):
+                raise ValueError(f"phases[{k}]: expected a finite number, got {phase!r}")
+        return tuple.__new__(cls, (pattern, block_params, phases))

@@ -10,12 +10,13 @@ The CLI reads the library as ``rc.<name>``, through the package's lazy
 exports.  A command binds its input to a local and checks its options before
 it touches any such name (``rc.f(_read_json(args))`` would load f's module
 first), so ``count``, ``--help`` and a request rejected before any array
-exists never load numpy; that includes a word or matrix its decoder refuses
-and a chart field of the wrong type or shape.  Nor does ``rewrite`` of a word
-whose check is at most ``PURE_CHECK_MAX`` (n x row steps): it compares the two
-words' products on pure-Python rows, and a larger check runs on numpy.  The
-path depends on the input alone, so a request prints the same bytes in every
-process.  ``verify`` loads only the dense-matrix layer, :mod:`rhochart.numerics`.
+exists never load numpy; that includes a word, matrix or chart its decoder
+refuses, whether for a field's type, its shape or its value.  Nor does
+``rewrite`` of a word whose check is at most ``PURE_CHECK_MAX`` (n x row
+steps): it compares the two words' products on pure-Python rows, and a larger
+check runs on numpy.  The path depends on the input alone, so a request prints
+the same bytes in every process.  ``verify`` loads only the dense-matrix layer,
+:mod:`rhochart.numerics`.
 
 A process runs its one request through :func:`run`, the entry of both
 ``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
@@ -153,8 +154,7 @@ def cmd_build(args):
         # compared before any pattern is built: "pattern": [1000000] would take minutes
         if rc.jsonio._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
-        fields = rc.jsonio.chart_fields(obj)  # read before rc.DensityChart loads numpy
-        chart = rc.DensityChart._from_fields(*fields)
+        chart = rc.DensityChart.from_json(obj)  # checked before rc.build_density loads numpy
     rho = rc.build_density(chart)
     report = rc.validate_density(rho, tol=_tol(args))
     payload = {

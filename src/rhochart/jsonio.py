@@ -2,8 +2,7 @@
 
 Nothing here loads numpy: a request whose JSON a decoder refuses never pays for
 it.  :func:`matrix_from_json` checks every field first and loads the dense-matrix
-layer only for a well-formed matrix, and :func:`chart_fields` reads a density
-chart's fields, whose values the chart types then check.
+layer only for a well-formed matrix; the word and chart decoders load none.
 """
 
 from __future__ import annotations
@@ -36,18 +35,23 @@ def _json(value, path: str, kind):
         if abs(value) <= sys.float_info.max:  # exact for an int; false for nan
             return float(value)
     text = repr(value) if value is None or isinstance(value, (int, float, str)) else ""
-    shown = text if 0 < len(text) <= 40 else type(value).__name__
     names = {int: "an integer", float: "a finite number", list: "a list", dict: "an object"}
-    raise ValueError(f"{path}: expected {names[kind]}, got {shown}")
+    raise ValueError(f"{path}: expected {names[kind]}, got {_shown(value, text)}")
+
+
+def _shown(value, text: str) -> str:
+    """``text``, a refused value's repr, or its type's name if that is empty or over 40 characters."""
+    return text if 0 < len(text) <= 40 else type(value).__name__
 
 
 def _number(value, path: str = ""):
-    """``value``, refused unless it is a Python int or float (numpy's float64 is a float),
-    the kinds :func:`_json` returns: a bool, a numpy integer or a float32 has no JSON form
-    that decodes back to it, so no value type holds one."""
-    if type(value) is not int and not isinstance(value, float):
-        raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {value!r}")
-    return value
+    """``value``, refused unless it is a Python int within float range or a float (numpy's
+    float64 is a float), the kinds :func:`_json` returns: a bool, a numpy integer, a float32
+    or an int past float range has no JSON form that decodes back to it, so no value type
+    holds one."""
+    if isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max:
+        return value
+    raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {_shown(value, repr(value))}")
 
 
 def _built(path: str, make, *args):
@@ -56,20 +60,6 @@ def _built(path: str, make, *args):
         return make(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def chart_fields(obj: dict) -> tuple[list, list, list]:
-    """A density chart's ``(pattern, eigen_angles, unitary_params)``, each field read
-    with its type and shape checked, a parameter as ``(block, delta, theta)``."""
-    obj = _json(obj, "input", dict)
-    mults = _json(obj.get("pattern"), "pattern", [int])
-    angles = _json(obj.get("eigen_angles"), "eigen_angles", [float])
-    params = []
-    for pos, e in enumerate(_json(obj.get("unitary_params"), "unitary_params", [dict])):
-        at = f"unitary_params[{pos}]"
-        block = tuple(_json(e.get("block"), f"{at}.block", (int, int)))
-        params.append((block, *(_json(e.get(k), f"{at}.{k}", float) for k in ("delta", "theta"))))
-    return mults, angles, params
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

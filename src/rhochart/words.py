@@ -41,7 +41,7 @@ the bound ``cli.PURE_CHECK_MAX`` records, it costs less than numpy's import.
 Atoms and words are validated tuples: each checks its fields on construction
 (``_replace`` included), refuses assignment, and unpacks and compares like the
 plain tuple of its fields.  The block form is checked where it enters: by
-``builder.BlockParam`` and the chart and commutant label checks, by
+``charts.BlockParam`` and the chart and commutant label checks, by
 :func:`make_opor_chart`, or by the rewrite or elimination that computes it.
 :func:`opor_word` builds its atoms and word from it without checking again.
 """

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rhochart.builder import BlockParam, DensityChart, build_density
-from rhochart.charts import EigenChart, class_masses, spread
+from rhochart.builder import build_density
+from rhochart.charts import BlockParam, DensityChart, EigenChart, class_masses, spread
 from rhochart.decompose import ELIM_EPS, DecompositionResult
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
 from rhochart.numerics import adjoint, max_abs_diff

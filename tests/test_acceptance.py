@@ -162,7 +162,7 @@ def test_criterion_7_commutant_invariance():
 
 
 def test_criterion_8_worked_n3_reproduction():
-    from rhochart.builder import BlockParam, DensityChart
+    from rhochart.charts import BlockParam, DensityChart
 
     rng = np.random.default_rng(8)
     worst = 0.0

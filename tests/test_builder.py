@@ -17,23 +17,30 @@ from conftest import (
 from rhochart.builder import (
     MASS_GAP,
     SVD_THRESHOLD,
-    BlockParam,
-    CommutantSpec,
-    DensityChart,
     build_commutant,
     build_density,
     _draw,
     _jacobian,
     _require_interior,
-    dropped_blocks,
     jacobian_rank,
-    kept_blocks,
     kept_word,
     random_commutant_spec,
     random_density_chart,
     validate_density,
 )
-from rhochart.charts import EigenChart, class_masses, eigen_matrix, eigenvalues, fit_chart, spread
+from rhochart.charts import (
+    BlockParam,
+    CommutantSpec,
+    DensityChart,
+    EigenChart,
+    class_masses,
+    dropped_blocks,
+    eigen_matrix,
+    eigenvalues,
+    fit_chart,
+    kept_blocks,
+    spread,
+)
 from rhochart.degeneracy import (
     DegeneracyPattern,
     all_partitions,
@@ -248,7 +255,7 @@ def test_density_chart_from_json_names_the_field_a_value_type_rejects():
 
 
 def test_density_chart_from_json_reads_every_field_before_any_value_is_checked():
-    # jsonio.chart_fields reads the fields without numpy; the chart types check values after
+    # DensityChart.from_json reads every field's type and shape before it checks any value
     with pytest.raises(ValueError, match=r"^unitary_params: expected a list, got 'x'$"):
         DensityChart.from_json({"pattern": [0], "eigen_angles": [3.0], "unitary_params": "x"})
 

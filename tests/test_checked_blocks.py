@@ -13,16 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import EDGE_ANGLES, density_build_patterns, edge_corpus, phased_permutation
-from rhochart.builder import (
-    BlockParam,
-    CommutantSpec,
-    DensityChart,
-    build_commutant,
-    kept_word,
-    random_commutant_spec,
-    random_density_chart,
-)
-from rhochart.charts import EigenChart
+from rhochart.builder import build_commutant, kept_word, random_commutant_spec, random_density_chart
+from rhochart.charts import BlockParam, CommutantSpec, DensityChart, EigenChart
 from rhochart.decompose import decompose
 from rhochart.degeneracy import DegeneracyPattern
 from rhochart.numerics import haar_unitary

@@ -13,7 +13,7 @@ import pytest
 
 import rhochart
 from conftest import random_interleaved_word, run_python
-from rhochart.cli import PURE_CHECK_MAX, _steps
+from rhochart.cli import PURE_CHECK_MAX, _steps, main
 from rhochart.numerics import max_abs_diff
 from rhochart.words import RotationAtom, Word, WordForm, evaluate, normalize, word_to_json
 
@@ -40,6 +40,45 @@ for argv in json.loads(sys.argv[1]):
 loaded = [m for m, v in sys.modules.items() if v and (m.startswith("rhochart") or m in ("dataclasses", "numpy"))]
 print(json.dumps([results, sorted(loaded)]))
 """
+
+
+#: the two kept blocks of pattern (2, 1), in order
+KEPT = [{"block": [3, 1], "delta": 0.1, "theta": 0.2}, {"block": [2, 3], "delta": 0.1, "theta": 0.2}]
+#: charts for ``build --pattern 2,1 --in``, each one change from a valid chart, refused
+#: for a field's type, its shape or its value, with the error line each prints
+CHART_REFUSALS = {
+    "str-angles": ({"eigen_angles": "x"}, "eigen_angles: expected a list, got 'x'"),
+    "bool-angle": ({"eigen_angles": [True]}, "eigen_angles[0]: expected a finite number, got True"),
+    "short-label": (
+        {"unitary_params": [KEPT[0] | {"block": [3]}, KEPT[1]]},
+        "unitary_params[0].block: expected 2 values, got 1",
+    ),
+    "wide-angle": ({"eigen_angles": [3.0]}, "eigen_angles[0]: angle 3.0 outside [0, pi/2]"),
+    "two-angles": ({"eigen_angles": [0.5, 0.5]}, "eigen_angles: expected 1 angles for 2 classes, got 2"),
+    "steep-block": (
+        {"unitary_params": [KEPT[0] | {"theta": 2.0}, KEPT[1]]},
+        "unitary_params[0]: block (3, 1): delta must lie in [0, 2*pi), theta in [0, pi/2]",
+    ),
+    "equal-label": (
+        {"unitary_params": [KEPT[0] | {"block": [1, 1]}, KEPT[1]]},
+        "unitary_params[0]: block label must be a pair of distinct integers >= 1, got (1, 1)",
+    ),
+    "zero-pattern": ({"pattern": [0]}, "pattern: differs from --pattern 2,1"),
+    "wrong-blocks": (
+        {"unitary_params": KEPT[::-1]},
+        "unitary_params: expected blocks ((3, 1), (2, 3)), got ((2, 3), (3, 1))",
+    ),
+}
+
+
+def chart_requests(tmp_path):
+    """A ``build`` request for each of ``CHART_REFUSALS``' charts, written under ``tmp_path``."""
+    requests = []
+    for name, (change, _) in CHART_REFUSALS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"pattern": [2, 1], "eigen_angles": [0.5], "unitary_params": KEPT} | change))
+        requests.append(["build", "--pattern", "2,1", "--in", str(path)])
+    return requests
 
 
 def run_requests(setup, requests):
@@ -102,8 +141,6 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         "int-entries.json": '{"dim": 2, "entries": 5}',
         "str-n.json": '{"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}',
         "null-atoms.json": '{"n": 2, "atoms": null}',
-        # refused by the chart's JSON rules, before the chart types load numpy
-        "str-angles.json": '{"pattern": [2, 1], "eigen_angles": "x", "unitary_params": []}',
     }
     for name, text in refused.items():
         (tmp_path / name).write_text(text)
@@ -125,15 +162,27 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         ["verify", "--in", str(tmp_path / "int-entries.json")],
         ["rewrite", "--to", "km", "--in", str(tmp_path / "str-n.json")],
         ["rewrite", "--to", "opor", "--in", str(tmp_path / "null-atoms.json")],
-        ["build", "--pattern", "2,1", "--in", str(tmp_path / "str-angles.json")],
+        # refused by the chart decoder, for a value out of range as for a field's type
+        *chart_requests(tmp_path),
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
-    assert [code for code, _, _ in blocked] == [0, 0] + [2] * 15
-    assert blocked[-1][2] == "error: eigen_angles: expected a list, got 'x'\n"
+    assert [code for code, _, _ in blocked] == [0, 0] + [2] * (14 + len(CHART_REFUSALS))
+    assert [err for _, _, err in blocked[16:]] == [f"error: {line}\n" for _, line in CHART_REFUSALS.values()]
     # the value types are validated tuples, so no dataclasses either
-    assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
+    assert loaded == [
+        "rhochart", "rhochart.charts", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"
+    ]
     # byte for byte what the same requests print with every module already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_a_chart_is_refused_alike_with_and_without_numpy(tmp_path, capsys):
+    # one decoder: the same exit code and error line as main's in this process, numpy loaded
+    requests = chart_requests(tmp_path)
+    blocked, loaded = run_requests(NO_NUMPY, requests)
+    assert "numpy" not in loaded
+    for argv, (code, out, err) in zip(requests, blocked):
+        assert (main(argv), *capsys.readouterr()) == (code, out, err) and code == 2, argv
 
 
 def test_verify_loads_only_the_dense_matrix_layer(tmp_path):

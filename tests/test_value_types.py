@@ -15,10 +15,9 @@ import re
 import numpy as np
 import pytest
 
-from rhochart.builder import BlockParam, CommutantSpec, DensityChart
-from rhochart.charts import EigenChart
+from rhochart.charts import BlockParam, CommutantSpec, DensityChart, EigenChart
 from rhochart.degeneracy import DegeneracyPattern, canonical_order
-from rhochart.words import PhaseAtom, RotationAtom, Word, word_from_json, word_to_json
+from rhochart.words import PhaseAtom, RotationAtom, Word, make_opor_chart, word_from_json, word_to_json
 
 PATTERN = DegeneracyPattern((2, 1))  # blocks (3, 1), (2, 3) kept, (1, 2) in-class
 EIGEN = EigenChart(PATTERN, (0.5,))
@@ -127,11 +126,18 @@ def test_a_pattern_keeps_its_derived_values_off_its_fields():
 
 
 
-#: values a decoder never returns as a number: json.dumps writes a bool as one and
-#: refuses a numpy integer or float32
-NOT_NUMBERS = (True, False, np.True_, np.False_, np.int64(1), np.float32(0.5))
+#: values a decoder never returns as a number: json.dumps writes a bool as one, refuses
+#: a numpy integer or float32, and writes an int past float range that no decoder reads
+NOT_NUMBERS = (True, False, np.True_, np.False_, np.int64(1), np.float32(0.5), 10**400)
 
-#: every number a value type holds, as the construction of one value with ``flag`` there
+
+def shown(x):
+    """``x`` as a refusal prints it: its repr, or its type's name past 40 characters."""
+    return repr(x) if len(repr(x)) <= 40 else type(x).__name__
+
+
+#: every number a value type holds, and a flat chart vector, as the construction of one
+#: value with ``flag`` there
 SITES = {
     "RotationAtom.theta": lambda flag: RotationAtom(1, 2, flag),
     "RotationAtom._replace": lambda flag: RotationAtom(1, 2, 0.3)._replace(theta=flag),
@@ -139,17 +145,25 @@ SITES = {
     "BlockParam.delta": lambda flag: BlockParam((3, 1), flag, 0.2),
     "BlockParam.theta": lambda flag: BlockParam((3, 1), 0.1, flag),
     "EigenChart.angles": lambda flag: EigenChart(PATTERN, (flag,)),
-    "DensityChart._from_fields": lambda flag: DensityChart._from_fields([2, 1], [flag], []),
     "CommutantSpec.phases": lambda flag: CommutantSpec(PATTERN, [BlockParam((1, 2), 0.5, 0.6)], (0.1, flag, 0.3)),
+    "make_opor_chart.params": lambda flag: make_opor_chart(2, [flag, 0, 0, 0]),
 }
 
 
-@pytest.mark.parametrize("flag", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("flag", NOT_NUMBERS, ids=shown)
 @pytest.mark.parametrize("site", list(SITES))
 def test_no_value_type_takes_a_value_a_decoder_never_returns(site, flag):
-    # worded as the decoders refuse one: 0 <= True <= pi/2, and math.isfinite(True) holds
-    with pytest.raises(ValueError, match=rf"expected a finite number, got {re.escape(repr(flag))}$"):
+    # worded as the decoders refuse one: 0 <= True <= pi/2, math.isfinite(True) holds, and
+    # math.isfinite(10**400) overflows
+    with pytest.raises(ValueError, match=rf"expected a finite number, got {re.escape(shown(flag))}$"):
         SITES[site](flag)
+
+
+def test_the_chart_decoder_refuses_a_json_bool_as_a_number():
+    # JSON has a bool but no numpy scalar; EigenChart.angles above takes those
+    obj = json.loads('{"pattern": [2, 1], "eigen_angles": [true], "unitary_params": []}')
+    with pytest.raises(ValueError, match=r"^eigen_angles\[0\]: expected a finite number, got True$"):
+        DensityChart.from_json(obj)
 
 
 #: numbers the value types take: Python ints and floats, a signed zero, numpy's float64
@@ -166,7 +180,7 @@ def with_json(x):
     return [(word, word_to_json, word_from_json), (chart, DensityChart.to_json, DensityChart.from_json)]
 
 
-@pytest.mark.parametrize("x", NUMBERS + NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("x", NUMBERS + NOT_NUMBERS, ids=shown)
 def test_every_value_that_constructs_decodes_back_from_its_json(x):
     built = 0
     for make, encode, decode in with_json(x):
