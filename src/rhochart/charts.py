@@ -45,8 +45,8 @@ class EigenChart(namedtuple("EigenChart", "pattern angles")):
 
 
 def _angle(a: float) -> float:
-    """``a``, refused unless it is a number in [0, pi/2]."""
-    if not 0.0 <= _number(a) <= HALF_PI:
+    """``a``, refused unless it is a number in [0, pi/2]; a float in range takes one test."""
+    if not (type(a) is float and 0.0 <= a <= HALF_PI) and not 0.0 <= _number(a) <= HALF_PI:
         raise ValueError(f"angle {a} outside [0, pi/2]")
     return a
 
@@ -134,10 +134,10 @@ class BlockParam(namedtuple("BlockParam", "block delta theta")):
         a, b = block if isinstance(block, tuple) and len(block) == 2 else (0, 0)
         if type(a) is not int or type(b) is not int or a == b or min(a, b) < 1:  # a bool is not an index
             raise ValueError(f"block label must be a pair of distinct integers >= 1, got {block!r}")
-        if type(delta) is not float or type(theta) is not float:  # seeded charts skip the calls
-            _number(delta, "delta"), _number(theta, "theta")
-        if not (0.0 <= delta < TWO_PI) or not (0.0 <= theta <= HALF_PI):
-            raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
+        if not (type(delta) is type(theta) is float and 0.0 <= delta < TWO_PI and 0.0 <= theta <= HALF_PI):
+            _number(delta, "delta"), _number(theta, "theta")  # floats in range skip the calls
+            if not (0.0 <= delta < TWO_PI and 0.0 <= theta <= HALF_PI):
+                raise ValueError(f"block {block}: delta must lie in [0, 2*pi), theta in [0, pi/2]")
         return tuple.__new__(cls, (block, delta, theta))
 
 
@@ -214,6 +214,5 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
         if len(phases) != pattern.n:
             raise ValueError(f"expected {pattern.n} diagonal phases")
         for k, phase in enumerate(phases):
-            if not math.isfinite(_number(phase, f"phases[{k}]")):
-                raise ValueError(f"phases[{k}]: expected a finite number, got {phase!r}")
+            _number(phase, f"phases[{k}]")
         return tuple.__new__(cls, (pattern, block_params, phases))

@@ -56,7 +56,7 @@ class DegeneracyPattern(namedtuple("DegeneracyPattern", "multiplicities")):
 
     @classmethod
     def singletons(cls, n: int) -> "DegeneracyPattern":
-        if type(n) is not int:  # [1] * n takes a bool or an np.int64
+        if type(n) is not int or n < 1:  # [1] * n takes a bool or an np.int64
             raise ValueError(f"n must be a positive integer, got {n!r}")
         return cls.from_multiplicities([1] * n)
 

@@ -1,8 +1,10 @@
 """The JSON reading rules every decoder shares, and the package's angle constants.
 
-Nothing here loads numpy: a request whose JSON a decoder refuses never pays for
-it.  :func:`matrix_from_json` checks every field first and loads the dense-matrix
-layer only for a well-formed matrix; the word and chart decoders load none.
+:func:`_number` is the one finite-number rule, for every number a decoder reads or a
+value type holds: nan and +-inf are refused in its one wording.  Nothing here loads
+numpy: a request whose JSON a decoder refuses never pays for it.
+:func:`matrix_from_json` checks every field first and loads the dense-matrix layer
+only for a well-formed matrix; the word and chart decoders load none.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
+_MAX = sys.float_info.max
 
 
 def _json(value, path: str, kind):
     """``value`` read at JSON ``path`` as ``kind``: int, float, list, dict, ``[kind]`` (a list
     of ``kind``) or a tuple of kinds (a list of exactly those).  A bool is never a number; a
-    float is an int or float finite as a float, returned as a float.  Anything else is a
+    float is a number :func:`_number` takes, returned as a float.  Anything else is a
     ``ValueError`` naming ``path``, the one way a decoder rejects its input."""
     if isinstance(kind, (list, tuple)):
         items = _json(value, path, list)
@@ -30,10 +33,7 @@ def _json(value, path: str, kind):
             raise ValueError(f"{path}: expected {len(kinds)} values, got {len(items)}")
         return [_json(v, f"{path}[{k}]", t) for k, (v, t) in enumerate(zip(items, kinds))]
     if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
-        if kind is not float:
-            return value
-        if abs(value) <= sys.float_info.max:  # exact for an int; false for nan
-            return float(value)
+        return float(_number(value, path)) if kind is float else value
     text = repr(value) if value is None or isinstance(value, (int, float, str)) else ""
     names = {int: "an integer", float: "a finite number", list: "a list", dict: "an object"}
     raise ValueError(f"{path}: expected {names[kind]}, got {_shown(value, text)}")
@@ -45,11 +45,10 @@ def _shown(value, text: str) -> str:
 
 
 def _number(value, path: str = ""):
-    """``value``, refused unless it is a Python int within float range or a float (numpy's
-    float64 is a float), the kinds :func:`_json` returns: a bool, a numpy integer, a float32
-    or an int past float range has no JSON form that decodes back to it, so no value type
-    holds one."""
-    if isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max:
+    """``value``, refused unless it is a Python int or a float (numpy's float64 is a float)
+    in [-MAX, MAX], MAX the largest float.  nan, +-inf, an int past float range, a bool, a
+    numpy integer or a float32 has no JSON form that decodes back to it, so no value holds one."""
+    if (isinstance(value, float) or type(value) is int) and -_MAX <= value <= _MAX:  # false for nan
         return value
     raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {_shown(value, repr(value))}")
 

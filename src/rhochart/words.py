@@ -54,7 +54,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from .jsonio import HALF_PI, TWO_PI, _json, _number
+from .jsonio import _MAX, HALF_PI, TWO_PI, _json, _number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,8 +94,7 @@ class RotationAtom(namedtuple("RotationAtom", "i j theta")):
     def __new__(cls, i: int, j: int, theta: float):
         if type(i) is not int or type(j) is not int or not 1 <= i < j:
             raise ValueError(f"rotation needs integers 1 <= i < j, got ({i!r}, {j!r})")
-        if not math.isfinite(_number(theta, "theta")):
-            raise ValueError("theta must be finite")
+        _number(theta, "theta")
         return tuple.__new__(cls, (i, j, theta))
 
 
@@ -111,10 +110,8 @@ class PhaseAtom(namedtuple("PhaseAtom", "deltas")):
         for idx, val in deltas.items():
             if type(idx) is not int or idx < 1:  # a bool is not an index
                 raise ValueError(f"bad phase index {idx!r}")
-            if type(val) is not float:  # so a float builds no path
+            if type(val) is not float or not -_MAX <= val <= _MAX:  # so a finite float builds no path
                 _number(val, f"deltas[{idx}]")
-            if not math.isfinite(val):
-                raise ValueError("phase angles must be finite")
         return tuple.__new__(cls, (deltas,))
 
 
@@ -128,7 +125,7 @@ class Word(namedtuple("Word", "n atoms")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n: int, atoms: Iterable[Atom]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if type(n) is not int or n < 1:  # a bool is not a dimension
             raise ValueError(f"n must be a positive integer, got {n!r}")
         atoms = tuple(atoms)
         for atom in atoms:
@@ -266,9 +263,6 @@ def make_opor_chart(n: int, params) -> Word:
     params = [float(_number(p, f"params[{k}]")) for k, p in enumerate(params)]
     if len(params) != n * n:
         raise ValueError(f"expected {n * n} parameters, got {len(params)}")
-    for k, p in enumerate(params):
-        if not math.isfinite(p):
-            raise ValueError(f"params[{k}]: expected a finite number, got {p}")
     blocks = [(lab, params[2 * k], params[2 * k + 1]) for k, lab in enumerate(order)]
     return opor_word(n, blocks, params[2 * len(order) :])
 
@@ -420,22 +414,13 @@ def _single_on(phase: PhaseAtom, rot: RotationAtom) -> bool:
     return len(phase.deltas) == 1 and next(iter(phase.deltas)) in (rot.i, rot.j)
 
 
-def _wrapped(*diagonals) -> PhaseAtom:
-    """Phase atom of each index's sum over the ``diagonals`` (index -> angle), zero
-    sums dropped: every term enters through :func:`_turn`, and the ``math.fsum`` of
-    an index's terms leaves through :func:`_wrap`, against the fsum of their magnitudes."""
-    terms: dict[int, list[float]] = {}
-    for diagonal in diagonals:
-        for k, v in diagonal.items():
-            terms.setdefault(k, []).append(_turn(v))
-    sums = {k: _wrap(math.fsum(ts), math.fsum(map(abs, ts))) for k, ts in terms.items()}
-    return PhaseAtom({k: v for k, v in sums.items() if v})
-
-
 def _conjugates(left: PhaseAtom, rot: RotationAtom, right: PhaseAtom) -> bool:
-    """``left rot right`` is P_a(x) R P_a(-x) on one of the rotation's indices."""
-    same = _single_on(left, rot) and left.deltas.keys() == right.deltas.keys()
-    return same and not _wrapped(left.deltas, right.deltas).deltas
+    """``left rot right`` is P_a(x) R P_a(-x) on one of the rotation's indices: the two
+    phases, each through :func:`_turn`, sum to 0 by :func:`_wrap`."""
+    if not _single_on(left, rot) or left.deltas.keys() != right.deltas.keys():
+        return False
+    (x,), (y,) = map(_turn, left.deltas.values()), map(_turn, right.deltas.values())
+    return not _wrap(x + y, abs(x) + abs(y))
 
 
 def _parse_form(w: Word) -> tuple[WordForm, int, int]:

@@ -57,12 +57,18 @@ def test_angle_count_validation():
 
 
 @pytest.mark.parametrize(
-    "angle",
-    [math.nan, math.inf, -math.inf, -1e-300, HALF_PI + 1e-15],
+    "angle, message",
+    [
+        (math.nan, "expected a finite number, got nan$"),
+        (math.inf, "expected a finite number, got inf$"),
+        (-math.inf, "expected a finite number, got -inf$"),
+        (-1e-300, r"outside \[0, pi/2\]"),
+        (HALF_PI + 1e-15, r"outside \[0, pi/2\]"),
+    ],
     ids=["nan", "inf", "-inf", "below-0", "above-half-pi"],
 )
-def test_angle_outside_range_or_not_finite_is_rejected(angle):
-    with pytest.raises(ValueError, match=r"outside \[0, pi/2\]"):
+def test_angle_outside_range_or_not_finite_is_rejected(angle, message):
+    with pytest.raises(ValueError, match=message):
         EigenChart(pattern=pat(2, 1), angles=(angle,))
 
 

@@ -89,7 +89,7 @@ def test_a_chart_parameter_that_is_not_a_finite_number_is_named_by_its_position(
         make_opor_chart(3, params)
 
 
-@pytest.mark.parametrize("n", [True, np.int64(2)], ids=repr)
+@pytest.mark.parametrize("n", [True, np.int64(2), 0, -2], ids=repr)
 def test_chart_dimension_must_be_a_python_int(n):
     with pytest.raises(ValueError, match="^n must be a positive integer"):
         make_opor_chart(n, [0.0] * int(n) ** 2)

@@ -7,6 +7,7 @@ checks run in a fresh interpreter."""
 
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ CHART_REFUSALS = {
         "unitary_params[0].block: expected 2 values, got 1",
     ),
     "wide-angle": ({"eigen_angles": [3.0]}, "eigen_angles[0]: angle 3.0 outside [0, pi/2]"),
+    "nan-angle": ({"eigen_angles": [math.nan]}, "eigen_angles[0]: expected a finite number, got nan"),
+    "inf-delta": (
+        {"unitary_params": [KEPT[0] | {"delta": math.inf}, KEPT[1]]},
+        "unitary_params[0].delta: expected a finite number, got inf",
+    ),
     "two-angles": ({"eigen_angles": [0.5, 0.5]}, "eigen_angles: expected 1 angles for 2 classes, got 2"),
     "steep-block": (
         {"unitary_params": [KEPT[0] | {"theta": 2.0}, KEPT[1]]},
@@ -141,6 +147,10 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         "int-entries.json": '{"dim": 2, "entries": 5}',
         "str-n.json": '{"n": "2", "atoms": [{"rot": [1, 2], "theta": 0.3}]}',
         "null-atoms.json": '{"n": 2, "atoms": null}',
+        # JSON's non-finite literals, which Python's json reads
+        "nan-theta.json": '{"n": 2, "atoms": [{"rot": [1, 2], "theta": NaN}]}',
+        "inf-phase.json": '{"n": 2, "atoms": [{"phase": {"1": -Infinity}}]}',
+        "inf-entry.json": '{"dim": 1, "entries": [[Infinity, 0]]}',
     }
     for name, text in refused.items():
         (tmp_path / name).write_text(text)
@@ -162,12 +172,19 @@ def test_cli_requests_before_any_array_run_without_numpy(tmp_path):
         ["verify", "--in", str(tmp_path / "int-entries.json")],
         ["rewrite", "--to", "km", "--in", str(tmp_path / "str-n.json")],
         ["rewrite", "--to", "opor", "--in", str(tmp_path / "null-atoms.json")],
+        ["rewrite", "--to", "km", "--in", str(tmp_path / "nan-theta.json")],
+        ["rewrite", "--to", "opor", "--in", str(tmp_path / "inf-phase.json")],
+        ["verify", "--in", str(tmp_path / "inf-entry.json")],
         # refused by the chart decoder, for a value out of range as for a field's type
         *chart_requests(tmp_path),
     ]
     blocked, loaded = run_requests(NO_NUMPY, requests)
-    assert [code for code, _, _ in blocked] == [0, 0] + [2] * (14 + len(CHART_REFUSALS))
-    assert [err for _, _, err in blocked[16:]] == [f"error: {line}\n" for _, line in CHART_REFUSALS.values()]
+    assert [code for code, _, _ in blocked] == [0, 0] + [2] * (17 + len(CHART_REFUSALS))
+    assert [err for _, _, err in blocked[16:19]] == [
+        f"error: {path}: expected a finite number, got {x}\n"
+        for path, x in [("atoms[0].theta", "nan"), ("atoms[0].phase.1", "-inf"), ("entries[0][0]", "inf")]
+    ]
+    assert [err for _, _, err in blocked[19:]] == [f"error: {line}\n" for _, line in CHART_REFUSALS.values()]
     # the value types are validated tuples, so no dataclasses either
     assert loaded == [
         "rhochart", "rhochart.charts", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"

@@ -3,8 +3,8 @@ atoms and words, the eigen and density charts, the commutant spec and the block
 parameter.  Each is a validated ``namedtuple`` subclass: it keeps its repr and
 its equality and hash by value, refuses assignment, round-trips through pickle
 and deepcopy, and checks a ``_replace`` as it checks construction.  None takes a
-bool, a numpy integer or a float32 as a number, so every value with a JSON form
-decodes back from it."""
+bool, a numpy integer, a float32, nan or +-inf as a number, so every value with a
+JSON form decodes back from it."""
 
 import copy
 import json
@@ -127,8 +127,9 @@ def test_a_pattern_keeps_its_derived_values_off_its_fields():
 
 
 #: values a decoder never returns as a number: json.dumps writes a bool as one, refuses
-#: a numpy integer or float32, and writes an int past float range that no decoder reads
-NOT_NUMBERS = (True, False, np.True_, np.False_, np.int64(1), np.float32(0.5), 10**400)
+#: a numpy integer or float32, and writes an int past float range, nan and +-inf (as the
+#: literals NaN and Infinity) that no decoder reads
+NOT_NUMBERS = (True, False, np.True_, np.False_, np.int64(1), np.float32(0.5), 10**400, math.nan, math.inf, -math.inf)
 
 
 def shown(x):

@@ -712,7 +712,7 @@ def test_atom_indices_must_be_integers(make):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: PhaseAtom({1: math.nan}), ValueError, "phase angles must be finite"),
+        (lambda: PhaseAtom({1: math.nan}), ValueError, r"^deltas\[1\]: expected a finite number, got nan$"),
         (lambda: Word(n=2, atoms=(PhaseAtom({3: 0.1}),)), ValueError, "exceeds dimension 2"),
         (lambda: Word(n=2, atoms=((1, 2, 0.3),)), TypeError, r"not an atom: \(1, 2, 0\.3\)"),
         (
