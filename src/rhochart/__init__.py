@@ -35,6 +35,7 @@ _EXPORTS = {
         "DEFAULT_TOL", "DensityReport", "adjoint", "haar_unitary", "is_unitary", "matrix_to_json",
         "max_abs_diff", "validate_density",
     ),
+    "pure": (),
     "words": (
         "PhaseAtom", "RotationAtom", "Word", "WordForm", "count_phases", "evaluate",
         "make_opor_chart", "normalize", "word_from_json", "word_to_json",

@@ -13,10 +13,11 @@ first), so ``count``, ``--help`` and a request rejected before any array
 exists never load numpy; that includes a word, matrix or chart its decoder
 refuses, whether for a field's type, its shape or its value.  Nor does
 ``rewrite`` of a word whose check is at most ``PURE_CHECK_MAX`` (n x row
-steps): it compares the two words' products on pure-Python rows, and a larger
-check runs on numpy.  The path depends on the input alone, so a request prints
-the same bytes in every process.  ``verify`` loads only the dense-matrix layer,
-:mod:`rhochart.numerics`.
+steps): it compares the two words' products on pure-Python rows.  ``build``,
+``decompose`` and ``verify`` at n <= ``PURE_DIM_MAX`` compute on rows of
+Python complex (:mod:`rhochart.pure`), so only ``build --random`` samples with
+numpy; a larger request runs on the numpy library.  Each path depends on the
+input alone, so a request prints the same bytes in every process.
 
 A process runs its one request through :func:`run`, the entry of both
 ``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
@@ -44,15 +45,13 @@ EXIT_VALIDATION = 3
 #: largest matrix dimension a request may ask for (n x n arrays of 16 n^2 bytes)
 MAX_DIM = 256
 
-# Largest n x (row steps of both words) whose rewrite is checked on pure-Python rows
-# (words._gap); a larger check evaluates on numpy.  A phase atom takes one step per
-# entry (one at least), so a word of full diagonals is not undercounted n-fold.  Cold `rewrite --to
-# km`, median of 9-11 per path (2 shared CPUs, Python 3.11, numpy 2.4): the pure rows
-# stop paying off at about 2.3e5 for rotations at n = 256 (202,752: 70.5 against
-# 75.0 ms; 235,520: 77.9 against 78.9 ms), 3.0e5 for rotation words at n = 48 and
-# 3.8e5 for opor charts (n = 32, 65,568: 52.0 against 81.7 ms; n = 64, 524,352:
-# 135.9 against 123.5 ms).
+#: largest n x (row steps of both words) whose rewrite is checked on pure-Python rows
+#: (words._gap); a larger check evaluates on numpy
 PURE_CHECK_MAX = 200_000
+
+#: largest n of a build, decompose or verify computed on rows of Python complex
+#: (rhochart.pure); a larger one runs on numpy
+PURE_DIM_MAX = 32
 
 
 class _Invalid(ValueError):
@@ -90,6 +89,13 @@ def _read_json(args, size=None):
     return obj
 
 
+def _matrix(args):
+    """The request's matrix: rows of Python complex when its n is at most
+    PURE_DIM_MAX, else a numpy array."""
+    rows = rc.jsonio.matrix_rows(_read_json(args, "dim"))
+    return rows if len(rows) <= PURE_DIM_MAX else rc.numerics.as_matrix(rows)
+
+
 def _stdout():
     if sys.stdout is None:  # fd 1 was closed when the process started
         raise ValueError("output: standard output is closed")
@@ -121,7 +127,7 @@ def _rng_from_args(args):
 
 def _tol(args) -> float:
     """``--tol``, or ``DEFAULT_TOL`` when the request gives none."""
-    return rc.DEFAULT_TOL if args.tol is None else args.tol
+    return rc.jsonio.DEFAULT_TOL if args.tol is None else args.tol
 
 
 def cmd_count(args):
@@ -154,15 +160,15 @@ def cmd_build(args):
         # compared before any pattern is built: "pattern": [1000000] would take minutes
         if rc.jsonio._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
-        chart = rc.DensityChart.from_json(obj)  # checked before rc.build_density loads numpy
-    rho = rc.build_density(chart)
-    report = rc.validate_density(rho, tol=_tol(args))
-    payload = {
-        "chart": chart.to_json(),
-        "matrix": rc.matrix_to_json(rho),
-        "validation": report.to_json(),
-    }
-    return payload, EXIT_OK if report.passed else EXIT_VALIDATION
+        chart = rc.DensityChart.from_json(obj)  # checked before any array exists
+    if pattern.n <= PURE_DIM_MAX:
+        rho = rc.pure.build_density(chart)
+        matrix, report = rc.pure.matrix_to_json(rho), rc.pure.density_report(rho, _tol(args))
+    else:
+        rho = rc.build_density(chart)
+        matrix, report = rc.matrix_to_json(rho), rc.validate_density(rho, tol=_tol(args)).to_json()
+    payload = {"chart": chart.to_json(), "matrix": matrix, "validation": report}
+    return payload, EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 def _steps(word) -> int:
@@ -185,20 +191,22 @@ def cmd_rewrite(args):
 
 
 def cmd_decompose(args):
-    obj = _read_json(args, "dim")
-    matrix = rc.matrix_from_json(obj)
+    matrix = _matrix(args)
+    factor = rc.pure.decompose if isinstance(matrix, list) else rc.decompose
     try:
-        result = rc.decompose(matrix, tol=_tol(args))
+        result = factor(matrix, tol=_tol(args))
     except rc.NotUnitaryError as exc:  # a matrix that is not unitary fails validation
         raise _Invalid(str(exc)) from None
     return {"word": rc.word_to_json(result.word), "residual": result.residual}, EXIT_OK
 
 
 def cmd_verify(args):
-    obj = _read_json(args, "dim")
-    matrix = rc.matrix_from_json(obj)
-    report = rc.validate_density(matrix, tol=_tol(args))
-    return report.to_json(), EXIT_OK if report.passed else EXIT_VALIDATION
+    matrix = _matrix(args)
+    if isinstance(matrix, list):
+        report = rc.pure.density_report(matrix, _tol(args))
+    else:
+        report = rc.validate_density(matrix, tol=_tol(args)).to_json()
+    return report, EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
 def cmd_commutant(args):

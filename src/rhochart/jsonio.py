@@ -1,10 +1,10 @@
-"""The JSON reading rules every decoder shares, and the package's angle constants.
+"""The JSON reading rules every decoder shares, and the package's constants.
 
 :func:`_number` is the one finite-number rule, for every number a decoder reads or a
 value type holds: nan and +-inf are refused in its one wording.  Nothing here loads
 numpy: a request whose JSON a decoder refuses never pays for it.
-:func:`matrix_from_json` checks every field first and loads the dense-matrix layer
-only for a well-formed matrix; the word and chart decoders load none.
+:func:`matrix_rows` decodes a matrix to Python rows, and :func:`matrix_from_json` loads
+the dense-matrix layer only for a matrix it accepts; the word and chart decoders load none.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+#: library-wide default comparison tolerance, overridable per call
+DEFAULT_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
 _MAX = sys.float_info.max
@@ -53,6 +55,19 @@ def _number(value, path: str = ""):
     raise ValueError(f"{path}{': ' if path else ''}expected a finite number, got {_shown(value, repr(value))}")
 
 
+def passes(herm: float, trace: float, min_eig: float, tol: float) -> bool:
+    """The density conditions: hermiticity and trace within ``tol`` and no eigenvalue
+    below ``-tol``; a check that is nan fails."""
+    return herm <= tol and trace <= tol and min_eig >= -tol
+
+
+def report_json(herm: float, trace: float, min_eig: float, tol: float, passed: bool) -> dict:
+    """A density report as strict JSON: a check that is not finite reads null."""
+    report = {"hermiticity_error": herm, "trace_error": trace, "min_eigenvalue": min_eig, "tol": tol}
+    report = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
+    return {**report, "passed": passed}
+
+
 def _built(path: str, make, *args):
     """``make(*args)``, a ``ValueError`` prefixed with the JSON ``path`` its arguments came from."""
     try:
@@ -61,9 +76,9 @@ def _built(path: str, make, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode ``{"dim": n, "entries": [[re, im], ...]}``, row-major, to a square
-    complex matrix; every field is checked before numpy loads."""
+def matrix_rows(obj: dict) -> list[list[complex]]:
+    """Decode ``{"dim": n, "entries": [[re, im], ...]}``, row-major, to n rows of
+    Python complex; every field is checked, and nothing loads numpy."""
     obj = _json(obj, "input", dict)
     n, entries = _json(obj.get("dim"), "dim", int), _json(obj.get("entries"), "entries", list)
     if n < 1:
@@ -71,8 +86,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if len(entries) != n * n:
         raise ValueError(f"entries: expected {n * n} [re, im] pairs, got {len(entries)}")
     flat = [complex(*_json(pair, f"entries[{k}]", (float, float))) for k, pair in enumerate(entries)]
-    import numpy as np
+    return [flat[r : r + n] for r in range(0, n * n, n)]
 
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """:func:`matrix_rows` as a square complex matrix: numpy loads once every field is checked."""
+    rows = matrix_rows(obj)
     from .numerics import as_matrix
 
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(n, n))
+    return as_matrix(rows)

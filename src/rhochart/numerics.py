@@ -4,20 +4,19 @@ All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
 Equality is always tolerance-based via :func:`max_abs_diff`.  Word products run
 on the row kernel of :mod:`rhochart.words`, not here.  The decoder
 :func:`matrix_from_json` lives in numpy-free :mod:`rhochart.jsonio` and is bound
-here too, so ``verify`` loads this module and nothing else that needs numpy.
+here too, as are the density report's pass and null rules, so a ``verify`` above
+``cli.PURE_DIM_MAX`` loads this module and nothing else that needs numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import matrix_from_json  # numpy-free; the benchmark reads it as numerics.matrix_from_json
-
-#: library-wide default comparison tolerance, overridable per call
-DEFAULT_TOL = 1e-10
+# numpy-free; the benchmark reads DEFAULT_TOL and matrix_from_json here
+from .jsonio import DEFAULT_TOL, matrix_from_json, passes, report_json
 
 
 def as_matrix(values) -> np.ndarray:
@@ -63,8 +62,7 @@ class DensityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        report = asdict(self)  # strict JSON: a check that is not finite reads null
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
+        return report_json(self.hermiticity_error, self.trace_error, self.min_eigenvalue, self.tol, self.passed)
 
 
 def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityReport:
@@ -77,14 +75,7 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityReport:
         trace = abs(tr.real - 1.0) + abs(tr.imag)
         sym = (m + adj) / 2.0
     min_eig = float(np.min(np.linalg.eigvalsh(sym))) if np.isfinite(sym).all() else math.nan
-    passed = herm <= tol and trace <= tol and min_eig >= -tol
-    return DensityReport(
-        hermiticity_error=herm,
-        trace_error=trace,
-        min_eigenvalue=min_eig,
-        tol=tol,
-        passed=passed,
-    )
+    return DensityReport(herm, trace, min_eig, tol, passes(herm, trace, min_eig, tol))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -35,8 +35,8 @@ a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 Loading this module loads no numpy: decoding, rewriting, normal forms, form
 recognition and encoding run on the standard library, and :func:`evaluate`
 loads numpy on its first call.  Its :func:`row_kernel` has a pure-Python twin,
-:func:`_rows`, behind :func:`_gap`, the CLI's check of a small rewrite; below
-the bound ``cli.PURE_CHECK_MAX`` records, it costs less than numpy's import.
+:func:`list_kernel`, which :func:`_rows` runs for :func:`_gap`, the CLI's check
+of a small rewrite, and the CLI's small ``build`` and ``decompose`` run too.
 
 Atoms and words are validated tuples: each checks its fields on construction
 (``_replace`` included), refuses assignment, and unpacks and compares like the
@@ -189,23 +189,37 @@ def evaluate(w: Word) -> np.ndarray:
     return v.T.copy()
 
 
+def list_kernel(rows: list[list[complex]]):
+    """:func:`row_kernel`'s ``(rotate, phase)`` on ``rows``, lists of Python complex, each
+    step replacing the rows it changes: the one pure-Python rotation and phase step."""
+    cos, sin = math.cos, math.sin
+
+    def rotate(i: int, j: int, theta: float) -> None:
+        c, s = cos(theta), sin(theta)
+        x, y = rows[i - 1], rows[j - 1]
+        rows[i - 1] = [c * a - s * b for a, b in zip(x, y)]
+        rows[j - 1] = [c * b + s * a for a, b in zip(x, y)]
+
+    def phase(k: int, delta: float) -> None:
+        p = complex(cos(delta), sin(delta))
+        rows[k - 1] = [p * a for a in rows[k - 1]]
+
+    return rotate, phase
+
+
 def _rows(w: Word) -> list[list[complex]]:
     """V = U^T of ``w`` as rows of Python complex, by :func:`evaluate`'s steps in
     the same order.  Rotation-only words give its values bit for bit (an exact
     zero may differ in sign); a phase product may differ in the last bit, where
     numpy's complex multiply fuses."""
     rows = [[complex(r == c) for c in range(w.n)] for r in range(w.n)]
+    rotate, phase = list_kernel(rows)
     for atom in w.atoms:
-        if isinstance(atom, RotationAtom):
-            i, j, theta = atom
-            c, s = math.cos(theta), math.sin(theta)
-            x, y = rows[i - 1], rows[j - 1]
-            rows[i - 1] = [c * a - s * b for a, b in zip(x, y)]
-            rows[j - 1] = [c * b + s * a for a, b in zip(x, y)]
+        if type(atom) is RotationAtom:
+            rotate(*atom)
         else:
             for k, delta in atom.deltas.items():
-                p = complex(math.cos(delta), math.sin(delta))
-                rows[k - 1] = [p * a for a in rows[k - 1]]
+                phase(k, delta)
     return rows
 
 

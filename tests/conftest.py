@@ -137,12 +137,12 @@ def reference_decompose(u):
             if abs(tjj) < ELIM_EPS:
                 delta = 0.0
             else:
-                x, y = float(np.angle(tij)), float(np.angle(tjj))
+                x, y = math.atan2(tij.imag, tij.real), math.atan2(tjj.imag, tjj.real)
                 delta = _wrap(x - y if a == i else y - x, abs(x) + abs(y))
         blocks.append(((a, b), delta, theta))
         phase_column(v, a, delta)
         rotate_columns(v, i, j, theta)
-    trailing = [_wrap(-x, abs(x)) for x in (float(np.angle(v[k, k])) for k in range(n))]
+    trailing = [_wrap(-x, abs(x)) for x in (math.atan2(v[k, k].imag, v[k, k].real) for k in range(n))]
     word = opor_word(n, blocks, trailing)
     return DecompositionResult(word=word, residual=max_abs_diff(u, reference_evaluate(word)))
 

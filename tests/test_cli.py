@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rhochart as rc
 import rhochart.cli as cli_module
-from rhochart.cli import MAX_DIM, main
+from rhochart.cli import MAX_DIM, PURE_DIM_MAX, main
 
 from conftest import ROOT, run_python
 
@@ -191,10 +191,24 @@ def test_decompose_rejects_non_unitary_exit_3(capsys, tmp_path):
     assert code == 3
 
 
-def test_decompose_rejects_entries_whose_product_overflows_exit_3(capsys, tmp_path):
-    # finite entries, but squaring the first one overflows a float
+def padded(entries, n, diagonal=0.0):
+    """The 2 x 2 matrix of ``entries``, [re, im] pairs, in the top left of an n x n
+    matrix, ``diagonal`` on the rest of the diagonal and 0 elsewhere."""
+    m = [[[diagonal if r == c else 0.0, 0.0] for c in range(n)] for r in range(n)]
+    for k, pair in enumerate(entries):
+        m[k // 2][k % 2] = pair
+    return {"dim": n, "entries": [pair for row in m for pair in row]}
+
+
+#: either side of cli.PURE_DIM_MAX: the numpy-free engine, then numpy
+SIDES = pytest.mark.parametrize("n", [2, PURE_DIM_MAX + 1], ids=["pure", "numpy"])
+
+
+@SIDES
+def test_decompose_rejects_entries_whose_product_overflows_exit_3(capsys, tmp_path, n):
+    # finite entries, but squaring the first one overflows a float; the identity pads
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"dim": 2, "entries": [[1.5e154, 0], [1, 0], [1, 0], [0, 0]]}))
+    path.write_text(json.dumps(padded([[1.5e154, 0], [1, 0], [1, 0], [0, 0]], n, diagonal=1.0)))
     code, out, err = run(capsys, ["decompose", "--in", str(path)])
     assert code == 3 and out == ""
     assert err == "error: input is not unitary within 1e-10\n"
@@ -233,10 +247,11 @@ def strict_json(text):
     ],
     ids=["symmetric-part", "hermiticity", "trace"],
 )
-def test_verify_reports_an_overflowing_check_as_null_exit_3(capsys, tmp_path, entries, nulls):
-    # run under the suite's error::RuntimeWarning: an overflow must not raise
+@SIDES
+def test_verify_reports_an_overflowing_check_as_null_exit_3(capsys, tmp_path, entries, nulls, n):
+    # run under the suite's error::RuntimeWarning: an overflow must not raise; zeros pad
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    path.write_text(json.dumps(padded(entries, n)))
     code, out, err = run(capsys, ["verify", "--in", str(path)])
     assert code == 3 and err == ""
     report = strict_json(out)

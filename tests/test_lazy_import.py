@@ -1,9 +1,10 @@
 """``import rhochart`` loads no submodule, each exported name loads its home module
 on first use, a CLI request that fails before any array exists, ``count``, ``--help``,
-``rewrite`` of a small word and the word algebra short of ``evaluate`` never load
-numpy, and ``verify`` loads only the dense-matrix layer.  ``count``, ``--help`` and
-those refusals load no ``dataclasses`` either.  Load order matters here, so most
-checks run in a fresh interpreter."""
+``rewrite`` of a small word, ``build --in``, ``decompose`` and ``verify`` of a small
+matrix and the word algebra short of ``evaluate`` never load numpy, and a larger
+``verify`` loads only the dense-matrix layer.  ``count``, ``--help``, those refusals
+and a small ``verify`` load no ``dataclasses`` either.  Load order matters here, so
+most checks run in a fresh interpreter."""
 
 import importlib
 import json
@@ -14,8 +15,11 @@ import pytest
 
 import rhochart
 from conftest import random_interleaved_word, run_python
-from rhochart.cli import PURE_CHECK_MAX, _steps, main
-from rhochart.numerics import max_abs_diff
+from rhochart.builder import build_density, random_density_chart
+from rhochart.cli import PURE_CHECK_MAX, PURE_DIM_MAX, _steps, main
+from rhochart.decompose import decompose
+from rhochart.degeneracy import DegeneracyPattern
+from rhochart.numerics import haar_unitary, matrix_to_json, max_abs_diff, validate_density
 from rhochart.words import RotationAtom, Word, WordForm, evaluate, normalize, word_to_json
 
 #: makes any later ``import numpy`` raise ImportError
@@ -204,12 +208,52 @@ def test_a_chart_is_refused_alike_with_and_without_numpy(tmp_path, capsys):
 
 def test_verify_loads_only_the_dense_matrix_layer(tmp_path):
     (tmp_path / "rho.json").write_text('{"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}')
-    requests = [["verify", "--in", str(tmp_path / "rho.json")]]
-    results, loaded = run_requests("", requests)
-    assert [code for code, _, _ in results] == [0]
-    # DensityReport is a dataclass
-    assert loaded == ["dataclasses", "numpy", "rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]
-    assert results == run_requests(EVERY_MODULE, requests)[0]
+    n = PURE_DIM_MAX + 1
+    (tmp_path / "big-rho.json").write_text(json.dumps(matrix_to_json(np.eye(n) / n)))
+    for name, modules in [
+        # the numpy-free engine: no DensityReport, so no dataclasses
+        ("rho.json", ["rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.pure"]),
+        # above the bound; DensityReport is a dataclass
+        ("big-rho.json", ["dataclasses", "numpy", "rhochart", "rhochart.cli", "rhochart.jsonio", "rhochart.numerics"]),
+    ]:
+        requests = [["verify", "--in", str(tmp_path / name)]]
+        results, loaded = run_requests("", requests)
+        assert [code for code, _, _ in results] == [0]
+        assert loaded == modules
+        assert results == run_requests(EVERY_MODULE, requests)[0]
+
+
+def bound_requests(tmp_path, n, rng):
+    """``build --in`` of a singleton chart, ``decompose`` of a Haar unitary and ``verify``
+    of that chart's density at ``n``: (argv, the bytes the numpy library gives) each."""
+    chart = random_density_chart(DegeneracyPattern.singletons(n), rng)
+    rho, u = build_density(chart), haar_unitary(n, rng)
+    result, report = decompose(u), validate_density(rho)
+    built = {"chart": chart.to_json(), "matrix": matrix_to_json(rho), "validation": report.to_json()}
+    factored = {"word": word_to_json(result.word), "residual": result.residual}
+    requests = []
+    for name, obj, argv, payload in [
+        ("chart", chart.to_json(), ["build", "--pattern", ",".join(["1"] * n)], built),
+        ("unitary", matrix_to_json(u), ["decompose"], factored),
+        ("rho", matrix_to_json(rho), ["verify"], report.to_json()),
+    ]:
+        path = tmp_path / f"{name}-{n}.json"
+        path.write_text(json.dumps(obj))
+        requests.append((argv + ["--in", str(path)], json.dumps(payload, indent=2) + "\n"))
+    return requests
+
+
+def test_build_decompose_and_verify_above_the_bound_run_on_numpy(tmp_path):
+    """At n = PURE_DIM_MAX each of the three runs without numpy; one more and each loads
+    it and prints exactly the numpy library's bytes."""
+    rng = np.random.default_rng(44)
+    small = bound_requests(tmp_path, PURE_DIM_MAX, rng)
+    blocked, loaded = run_requests(NO_NUMPY, [argv for argv, _ in small])
+    assert [code for code, _, _ in blocked] == [0, 0, 0] and "numpy" not in loaded
+    large = bound_requests(tmp_path, PURE_DIM_MAX + 1, rng)
+    for argv, want in large:
+        [[code, out, _]], loaded = run_requests("", [argv])
+        assert code == 0 and "numpy" in loaded and out == want, argv[0]
 
 
 def test_rewrite_of_a_small_word_runs_without_numpy(tmp_path):
@@ -224,6 +268,16 @@ def test_rewrite_of_a_small_word_runs_without_numpy(tmp_path):
     assert all(json.loads(out)["max_abs_diff"] <= 1e-12 for _, out, _ in blocked)
     assert loaded == ["rhochart", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio", "rhochart.words"]
     # the path depends on the word alone: the same bytes with numpy already loaded
+    assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_small_build_decompose_and_verify_run_without_numpy(tmp_path):
+    rng = np.random.default_rng(45)
+    requests = [argv for n in (3, 5, 8) for argv, _ in bound_requests(tmp_path, n, rng)]  # cli-cold's sizes
+    blocked, loaded = run_requests(NO_NUMPY, requests)
+    assert [code for code, _, _ in blocked] == [0] * 9
+    assert "numpy" not in loaded
+    # the path depends on the input alone: the same bytes with numpy already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]
 
 
