@@ -107,12 +107,12 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     the square system is prod_b sin theta_b cos^{e_b} theta_b 2 (lambda_l - lambda_k)^2
     over blocks b on k < l, with e_b = 2 (earlier blocks with the same l) + 1.
 
-    No threshold can certify ``orbit_dim`` beyond small n: the singular values
-    decay without a gap, as the Euler-angle volume element, a product of
-    powers of sin and cos of the block angles, suggests.  On generic singleton
-    charts the smallest relative singular value is 5.9e-13 to 1.5e-7 at
-    n = 16, depending on how close the block angles are to their range ends,
-    and 2.9e-15 at n = 32, so the rank returned there can fall short.
+    The rank is not certified beyond small n.  The singular values decay
+    without a gap, as the Euler-angle volume element, a product of powers of sin
+    and cos of the block angles, suggests, so no threshold separates them from
+    zero: the rank returned can fall short of ``orbit_dim`` on an accepted chart.
+    ``test_jacobian_rank_is_orbit_dim_on_an_ill_conditioned_accepted_chart``
+    pins one such (3, 2) chart as a strict xfail.
     """
     _require_interior(c)
     sv = np.linalg.svd(_jacobian(c, include_eigen), compute_uv=False)

@@ -14,10 +14,13 @@ exists never load numpy; that includes a word, matrix or chart its decoder
 refuses, whether for a field's type, its shape or its value.  Nor does
 ``rewrite`` of a word whose check is at most ``PURE_CHECK_MAX`` (n x row
 steps): it compares the two words' products on pure-Python rows.  ``build``,
-``decompose`` and ``verify`` at n <= ``PURE_DIM_MAX`` compute on rows of
-Python complex (:mod:`rhochart.pure`), so only ``build --random`` samples with
-numpy; a larger request runs on the numpy library.  Each path depends on the
-input alone, so a request prints the same bytes in every process.
+``decompose`` and ``verify`` run on the engine that :func:`_engine`, the one reader
+of ``PURE_DIM_MAX``, picks from n: :mod:`rhochart.pure`, on rows of Python complex,
+at n <= ``PURE_DIM_MAX``, and above it the numpy library under the same names.  So
+of the small ones only ``build --random`` loads numpy, for its generator.  Each
+reads its matrix as rows and writes one with ``jsonio.matrix_json``, whatever the
+engine.  Each path depends on the input alone, so a request prints the same bytes
+in every process.
 
 A process runs its one request through :func:`run`, the entry of both
 ``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
@@ -35,6 +38,7 @@ import gc
 import json
 import math
 import sys
+import types
 
 import rhochart as rc
 
@@ -50,7 +54,7 @@ MAX_DIM = 256
 PURE_CHECK_MAX = 200_000
 
 #: largest n of a build, decompose or verify computed on rows of Python complex
-#: (rhochart.pure); a larger one runs on numpy
+#: (rhochart.pure); a larger one runs on numpy (_engine)
 PURE_DIM_MAX = 32
 
 
@@ -89,11 +93,17 @@ def _read_json(args, size=None):
     return obj
 
 
-def _matrix(args):
-    """The request's matrix: rows of Python complex when its n is at most
-    PURE_DIM_MAX, else a numpy array."""
-    rows = rc.jsonio.matrix_rows(_read_json(args, "dim"))
-    return rows if len(rows) <= PURE_DIM_MAX else rc.numerics.as_matrix(rows)
+#: the numpy library under :mod:`rhochart.pure`'s names; each loads its module when called
+_NUMPY = types.SimpleNamespace(
+    build_density=lambda chart: rc.build_density(chart),
+    density_report=lambda m, tol: rc.validate_density(m, tol).to_json(),
+    decompose=lambda m, tol: rc.decompose(m, tol),
+)
+
+
+def _engine(n: int):
+    """The engine of a ``build``, ``decompose`` or ``verify`` of size ``n``."""
+    return rc.pure if n <= PURE_DIM_MAX else _NUMPY
 
 
 def _stdout():
@@ -161,13 +171,10 @@ def cmd_build(args):
         if rc.jsonio._json(obj["pattern"], "pattern", list) != mults:
             raise ValueError(f"pattern: differs from --pattern {','.join(map(str, mults))}")
         chart = rc.DensityChart.from_json(obj)  # checked before any array exists
-    if pattern.n <= PURE_DIM_MAX:
-        rho = rc.pure.build_density(chart)
-        matrix, report = rc.pure.matrix_to_json(rho), rc.pure.density_report(rho, _tol(args))
-    else:
-        rho = rc.build_density(chart)
-        matrix, report = rc.matrix_to_json(rho), rc.validate_density(rho, tol=_tol(args)).to_json()
-    payload = {"chart": chart.to_json(), "matrix": matrix, "validation": report}
+    engine = _engine(pattern.n)
+    rho = engine.build_density(chart)
+    report = engine.density_report(rho, _tol(args))
+    payload = {"chart": chart.to_json(), "matrix": rc.jsonio.matrix_json(rho), "validation": report}
     return payload, EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -191,21 +198,17 @@ def cmd_rewrite(args):
 
 
 def cmd_decompose(args):
-    matrix = _matrix(args)
-    factor = rc.pure.decompose if isinstance(matrix, list) else rc.decompose
+    m = rc.jsonio.matrix_rows(_read_json(args, "dim"))
     try:
-        result = factor(matrix, tol=_tol(args))
+        result = _engine(len(m)).decompose(m, _tol(args))
     except rc.NotUnitaryError as exc:  # a matrix that is not unitary fails validation
         raise _Invalid(str(exc)) from None
     return {"word": rc.word_to_json(result.word), "residual": result.residual}, EXIT_OK
 
 
 def cmd_verify(args):
-    matrix = _matrix(args)
-    if isinstance(matrix, list):
-        report = rc.pure.density_report(matrix, _tol(args))
-    else:
-        report = rc.validate_density(matrix, tol=_tol(args)).to_json()
+    m = rc.jsonio.matrix_rows(_read_json(args, "dim"))
+    report = _engine(len(m)).density_report(m, _tol(args))
     return report, EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -214,7 +217,7 @@ def cmd_commutant(args):
         raise ValueError("commutant only samples; it needs --random and --seed")
     rng = _rng_from_args(args)
     spec = rc.builder.random_commutant_spec(args.pattern, rng)
-    return rc.matrix_to_json(rc.build_commutant(spec)), EXIT_OK
+    return rc.jsonio.matrix_json(rc.build_commutant(spec)), EXIT_OK
 
 
 def _pattern(text: str) -> rc.DegeneracyPattern:

@@ -3,8 +3,10 @@
 :func:`_number` is the one finite-number rule, for every number a decoder reads or a
 value type holds: nan and +-inf are refused in its one wording.  Nothing here loads
 numpy: a request whose JSON a decoder refuses never pays for it.
-:func:`matrix_rows` decodes a matrix to Python rows, and :func:`matrix_from_json` loads
-the dense-matrix layer only for a matrix it accepts; the word and chart decoders load none.
+The matrix has one decoder and one encoder, both here: :func:`matrix_rows` decodes a
+matrix to Python rows (:func:`matrix_from_json` loads the dense-matrix layer only for a
+matrix it accepts), and :func:`matrix_json` encodes rows or an array alike.  The word and
+chart decoders load no numpy either.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def matrix_rows(obj: dict) -> list[list[complex]]:
         raise ValueError(f"entries: expected {n * n} [re, im] pairs, got {len(entries)}")
     flat = [complex(*_json(pair, f"entries[{k}]", (float, float))) for k, pair in enumerate(entries)]
     return [flat[r : r + n] for r in range(0, n * n, n)]
+
+
+def matrix_json(m) -> dict:
+    """Encode rows of Python complex, or an array through ``.tolist()``, as
+    ``{"dim": n, "entries": [[re, im], ...]}``, row-major; an array's ``.tolist()`` is
+    its rows of Python complex, so ``json.dumps`` writes the same bytes for both."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    return {"dim": len(rows), "entries": [[z.real, z.imag] for row in rows for z in row]}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

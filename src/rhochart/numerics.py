@@ -1,11 +1,13 @@
-"""Dense-matrix helpers, density validation and the matrix JSON format.
+"""Dense-matrix helpers, density validation and the matrix JSON format for arrays.
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
 Equality is always tolerance-based via :func:`max_abs_diff`.  Word products run
-on the row kernel of :mod:`rhochart.words`, not here.  The decoder
-:func:`matrix_from_json` lives in numpy-free :mod:`rhochart.jsonio` and is bound
-here too, as are the density report's pass and null rules, so a ``verify`` above
-``cli.PURE_DIM_MAX`` loads this module and nothing else that needs numpy.
+on the row kernel of :mod:`rhochart.words`, not here.  The matrix's one decoder
+and one encoder live in numpy-free :mod:`rhochart.jsonio`: :func:`matrix_from_json`
+is bound here, and :func:`matrix_to_json` is the encoder behind the finite-entry
+check of :func:`as_matrix`.  The density report's pass and null rules are
+``jsonio``'s too, so a ``verify`` above ``cli.PURE_DIM_MAX`` loads this module and
+nothing else that needs numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # numpy-free; the benchmark reads DEFAULT_TOL and matrix_from_json here
-from .jsonio import DEFAULT_TOL, matrix_from_json, passes, report_json
+from .jsonio import DEFAULT_TOL, matrix_from_json, matrix_json, passes, report_json
 
 
 def as_matrix(values) -> np.ndarray:
@@ -87,8 +89,5 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    """Encode as ``{"dim": n, "entries": [[re, im], ...]}``, row-major."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"dim": n, "entries": entries}
+    """:func:`rhochart.jsonio.matrix_json` of a square matrix with finite entries."""
+    return matrix_json(as_matrix(m))

@@ -1,12 +1,15 @@
-"""The CLI's numpy-free engines: ``build``, ``decompose`` and ``verify`` of a small
+"""The CLI's numpy-free engine: ``build``, ``decompose`` and ``verify`` of a small
 matrix, on rows of Python complex.
 
-A request at n <= ``cli.PURE_DIM_MAX`` runs here and a larger one on the numpy
-library (:func:`rhochart.build_density`, :func:`rhochart.decompose`,
-:func:`rhochart.validate_density`); the two agree to rounding.  Loading this
-module loads only :mod:`rhochart.jsonio`, whose pass and null rules both engines
-report by, so a small ``verify`` loads neither numpy nor ``dataclasses``;
-:func:`build_density` and :func:`decompose` load the word algebra on their first call.
+``cli._engine`` picks the engine from n alone: this module at n <= ``cli.PURE_DIM_MAX``,
+and above it the numpy library (:func:`rhochart.build_density`,
+:func:`rhochart.decompose`, :func:`rhochart.validate_density`) under this module's
+three names, :func:`build_density`, :func:`density_report` and :func:`decompose`.
+The two agree to rounding; the matrix they build is encoded by the one encoder,
+``jsonio.matrix_json``.  Loading this module loads only :mod:`rhochart.jsonio`, whose
+pass and null rules both engines report by, so a small ``verify`` loads neither numpy
+nor ``dataclasses``; :func:`build_density` and :func:`decompose` load the word algebra,
+whose one atom walk serves both engines, on their first call.
 
 ``abs`` of a Python complex raises ``OverflowError`` past the largest float, so a
 modulus here is ``math.hypot``, which returns inf; the shared elimination's ``abs``
@@ -115,11 +118,6 @@ def build_density(chart) -> list[list[complex]]:
                 acc += lam[k] * (v[k][j] * v[k][l].conjugate())
             rho[l][j], rho[j][l] = acc.conjugate(), acc  # (j, j) keeps acc, whose imaginary part is 0
     return rho
-
-
-def matrix_to_json(m: list[list[complex]]) -> dict:
-    """:func:`rhochart.matrix_to_json` of rows."""
-    return {"dim": len(m), "entries": [[z.real, z.imag] for row in m for z in row]}
 
 
 def _is_unitary(u: list[list[complex]], tol: float) -> bool:

@@ -34,9 +34,12 @@ a few ulps of 0 or 2*pi, measured against its terms' summed magnitude.
 
 Loading this module loads no numpy: decoding, rewriting, normal forms, form
 recognition and encoding run on the standard library, and :func:`evaluate`
-loads numpy on its first call.  Its :func:`row_kernel` has a pure-Python twin,
-:func:`list_kernel`, which :func:`_rows` runs for :func:`_gap`, the CLI's check
-of a small rewrite, and the CLI's small ``build`` and ``decompose`` run too.
+loads numpy on its first call.  A word's product has two kernels, each a
+``(rotate, phase)`` pair: :func:`row_kernel` on a numpy array and its pure-Python
+twin :func:`list_kernel` on rows of Python complex.  One atom walk, :func:`_walk`,
+drives either: :func:`evaluate` runs it on the first, and :func:`_rows` on the
+second, for :func:`_gap` (the CLI's check of a small rewrite) and the CLI's
+numpy-free engine (:mod:`rhochart.pure`).
 
 Atoms and words are validated tuples: each checks its fields on construction
 (``_replace`` included), refuses assignment, and unpacks and compares like the
@@ -173,19 +176,24 @@ def row_kernel(v: np.ndarray):
     return rotate, phase
 
 
-def evaluate(w: Word) -> np.ndarray:
-    """Product of the atoms in listed order (identity when empty), C-contiguous; its
-    values are the complex column product's, but an exact zero may carry either sign."""
-    import numpy as np
-
-    v = np.eye(w.n, dtype=np.complex128)
-    rotate, phase = row_kernel(v)
+def _walk(w: Word, rotate, phase) -> None:
+    """Apply the atoms of ``w`` in listed order through a kernel's ``(rotate, phase)``:
+    a rotation in one step, a phase atom one step per entry."""
     for atom in w.atoms:
         if type(atom) is RotationAtom:
             rotate(*atom)
         else:
             for k, delta in atom.deltas.items():
                 phase(k, delta)
+
+
+def evaluate(w: Word) -> np.ndarray:
+    """Product of the atoms in listed order (identity when empty), C-contiguous; its
+    values are the complex column product's, but an exact zero may carry either sign."""
+    import numpy as np
+
+    v = np.eye(w.n, dtype=np.complex128)
+    _walk(w, *row_kernel(v))
     return v.T.copy()
 
 
@@ -208,18 +216,12 @@ def list_kernel(rows: list[list[complex]]):
 
 
 def _rows(w: Word) -> list[list[complex]]:
-    """V = U^T of ``w`` as rows of Python complex, by :func:`evaluate`'s steps in
-    the same order.  Rotation-only words give its values bit for bit (an exact
+    """V = U^T of ``w`` as rows of Python complex, by :func:`evaluate`'s walk on
+    :func:`list_kernel`.  Rotation-only words give its values bit for bit (an exact
     zero may differ in sign); a phase product may differ in the last bit, where
     numpy's complex multiply fuses."""
     rows = [[complex(r == c) for c in range(w.n)] for r in range(w.n)]
-    rotate, phase = list_kernel(rows)
-    for atom in w.atoms:
-        if type(atom) is RotationAtom:
-            rotate(*atom)
-        else:
-            for k, delta in atom.deltas.items():
-                phase(k, delta)
+    _walk(w, *list_kernel(rows))
     return rows
 
 
