@@ -25,15 +25,15 @@ _EXPORTS = {
         "BlockParam", "CommutantSpec", "DensityChart", "EigenChart", "eigen_matrix", "eigenvalues",
         "fit_chart",
     ),
-    "decompose": ("DecompositionResult", "NotUnitaryError", "decompose"),
+    "decompose": ("NotUnitaryError", "decompose"),
     "degeneracy": (
         "DegeneracyPattern", "all_partitions", "canonical_order", "degrees_of_degeneracy",
         "internal_params", "orbit_dim", "redundant_params",
     ),
-    "jsonio": ("matrix_from_json",),
+    "jsonio": (),
     "numerics": (
-        "DEFAULT_TOL", "DensityReport", "adjoint", "haar_unitary", "is_unitary", "matrix_to_json",
-        "max_abs_diff", "validate_density",
+        "DEFAULT_TOL", "DecompositionResult", "DensityReport", "adjoint", "haar_unitary", "is_unitary",
+        "matrix_from_json", "matrix_to_json", "max_abs_diff", "validate_density",
     ),
     "pure": (),
     "words": (

@@ -16,11 +16,12 @@ refuses, whether for a field's type, its shape or its value.  Nor does
 steps): it compares the two words' products on pure-Python rows.  ``build``,
 ``decompose`` and ``verify`` run on the engine that :func:`_engine`, the one reader
 of ``PURE_DIM_MAX``, picks from n: :mod:`rhochart.pure`, on rows of Python complex,
-at n <= ``PURE_DIM_MAX``, and above it the numpy library under the same names.  So
-of the small ones only ``build --random`` loads numpy, for its generator.  Each
-reads its matrix as rows and writes one with ``jsonio.matrix_json``, whatever the
-engine.  Each path depends on the input alone, so a request prints the same bytes
-in every process.
+at n <= ``PURE_DIM_MAX``, and above it the numpy library under the same names,
+both returning the report as its JSON dict and a decomposition as ``(word, residual)``.  So
+of the small ones only ``build --random`` loads numpy, for its generator, and none
+loads ``dataclasses``.  Each reads its matrix as rows and writes one with
+``jsonio.matrix_json``, whatever the engine.  Each path depends on the input alone,
+so a request prints the same bytes in every process.
 
 A process runs its one request through :func:`run`, the entry of both
 ``python -m rhochart.cli`` and the ``rhochart`` script, with the cyclic garbage
@@ -93,11 +94,18 @@ def _read_json(args, size=None):
     return obj
 
 
-#: the numpy library under :mod:`rhochart.pure`'s names; each loads its module when called
+def _decompose(m, tol):
+    """:func:`rhochart.decompose` as the pair ``(word, residual)`` that ``pure.decompose`` returns."""
+    result = rc.decompose(m, tol)
+    return result.word, result.residual
+
+
+#: the numpy library under :mod:`rhochart.pure`'s names, returning its plain values;
+#: each loads its module when called
 _NUMPY = types.SimpleNamespace(
     build_density=lambda chart: rc.build_density(chart),
     density_report=lambda m, tol: rc.validate_density(m, tol).to_json(),
-    decompose=lambda m, tol: rc.decompose(m, tol),
+    decompose=_decompose,
 )
 
 
@@ -200,10 +208,10 @@ def cmd_rewrite(args):
 def cmd_decompose(args):
     m = rc.jsonio.matrix_rows(_read_json(args, "dim"))
     try:
-        result = _engine(len(m)).decompose(m, _tol(args))
+        word, residual = _engine(len(m)).decompose(m, _tol(args))
     except rc.NotUnitaryError as exc:  # a matrix that is not unitary fails validation
         raise _Invalid(str(exc)) from None
-    return {"word": rc.word_to_json(result.word), "residual": result.residual}, EXIT_OK
+    return {"word": rc.word_to_json(word), "residual": residual}, EXIT_OK
 
 
 def cmd_verify(args):

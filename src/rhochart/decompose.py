@@ -12,13 +12,15 @@ The elimination, :func:`_eliminate`, runs a ``(rotate, phase)`` pair on conj(u):
 left-applying the inverse block R^T P* to t is left-applying R^T P to conj(t).
 :func:`decompose` runs it on ``words.row_kernel``, the row kernel of ``words.evaluate``,
 and the CLI's numpy-free engine (:mod:`rhochart.pure`) on ``words.list_kernel``.
-Loading this module loads no numpy; :func:`decompose` loads it on its first call.
+Loading this module loads neither numpy nor ``dataclasses``: :func:`decompose` loads
+:mod:`rhochart.numerics`, which holds its :class:`~rhochart.numerics.DecompositionResult`,
+on its first call, and the numpy-free engine takes only :func:`_eliminate` and
+:class:`NotUnitaryError` from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .degeneracy import DegeneracyPattern, canonical_order
@@ -28,20 +30,14 @@ from .words import Word, _wrap, evaluate, opor_word, row_kernel
 if TYPE_CHECKING:
     import numpy as np
 
+    from .numerics import DecompositionResult
+
 #: entries below this modulus count as already eliminated
 ELIM_EPS = 1e-14
 
 
 class NotUnitaryError(ValueError):
     """Input matrix is too far from unitary to decompose."""
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Chart word reproducing the input, plus the reconstruction error."""
-
-    word: Word
-    residual: float
 
 
 def _eliminate(n: int, entry, rotate, phase) -> Word:
@@ -88,4 +84,4 @@ def decompose(u: np.ndarray, tol: float = DEFAULT_TOL) -> DecompositionResult:
     v = np.ascontiguousarray(u.conj())  # t = conj(v) is the matrix being reduced
     word = _eliminate(u.shape[0], v.item, *row_kernel(v))
     residual = numerics.max_abs_diff(u, evaluate(word))
-    return DecompositionResult(word=word, residual=residual)
+    return numerics.DecompositionResult(word=word, residual=residual)

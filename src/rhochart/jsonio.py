@@ -2,21 +2,18 @@
 
 :func:`_number` is the one finite-number rule, for every number a decoder reads or a
 value type holds: nan and +-inf are refused in its one wording.  Nothing here loads
-numpy: a request whose JSON a decoder refuses never pays for it.
-The matrix has one decoder and one encoder, both here: :func:`matrix_rows` decodes a
-matrix to Python rows (:func:`matrix_from_json` loads the dense-matrix layer only for a
-matrix it accepts), and :func:`matrix_json` encodes rows or an array alike.  The word and
-chart decoders load no numpy either.
+numpy, and this module imports no other of the package: a request whose JSON a decoder
+refuses never pays for either.
+The matrix's row codec is here: :func:`matrix_rows` decodes a matrix to Python rows, and
+:func:`matrix_json` encodes rows or an array alike.  Its two array adapters,
+``matrix_from_json`` and ``matrix_to_json``, live in :mod:`rhochart.numerics`.  The word
+and chart decoders load no numpy either.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: library-wide default comparison tolerance, overridable per call
 DEFAULT_TOL = 1e-10
@@ -97,11 +94,3 @@ def matrix_json(m) -> dict:
     its rows of Python complex, so ``json.dumps`` writes the same bytes for both."""
     rows = m.tolist() if hasattr(m, "tolist") else m
     return {"dim": len(rows), "entries": [[z.real, z.imag] for row in rows for z in row]}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """:func:`matrix_rows` as a square complex matrix: numpy loads once every field is checked."""
-    rows = matrix_rows(obj)
-    from .numerics import as_matrix
-
-    return as_matrix(rows)

@@ -1,13 +1,17 @@
-"""Dense-matrix helpers, density validation and the matrix JSON format for arrays.
+"""Dense-matrix helpers, density validation, the matrix JSON format for arrays, and
+the numpy library's two result types.
 
 All matrices are square ``numpy`` arrays of dtype ``complex128``, row-major.
 Equality is always tolerance-based via :func:`max_abs_diff`.  Word products run
-on the row kernel of :mod:`rhochart.words`, not here.  The matrix's one decoder
-and one encoder live in numpy-free :mod:`rhochart.jsonio`: :func:`matrix_from_json`
-is bound here, and :func:`matrix_to_json` is the encoder behind the finite-entry
-check of :func:`as_matrix`.  The density report's pass and null rules are
-``jsonio``'s too, so a ``verify`` above ``cli.PURE_DIM_MAX`` loads this module and
-nothing else that needs numpy.
+on the row kernel of :mod:`rhochart.words`, not here.  The matrix's row codec lives in
+numpy-free :mod:`rhochart.jsonio`, and its two array adapters here:
+:func:`matrix_from_json` is ``jsonio.matrix_rows`` through :func:`as_matrix`, and
+:func:`matrix_to_json` is ``jsonio.matrix_json`` behind the same finite-entry check.
+The density report's pass and null rules are ``jsonio``'s too, so a ``verify`` above
+``cli.PURE_DIM_MAX`` loads this module and nothing else that needs numpy.
+:class:`DensityReport` and :class:`DecompositionResult` are the package's only
+dataclasses, so this is the one module that imports ``dataclasses``; the numpy-free
+engine, :mod:`rhochart.pure`, returns plain values and never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# numpy-free; the benchmark reads DEFAULT_TOL and matrix_from_json here
-from .jsonio import DEFAULT_TOL, matrix_from_json, matrix_json, passes, report_json
+# numpy-free; the benchmark reads DEFAULT_TOL here
+from .jsonio import DEFAULT_TOL, matrix_json, matrix_rows, passes, report_json
 
 
 def as_matrix(values) -> np.ndarray:
@@ -67,6 +71,14 @@ class DensityReport:
         return report_json(self.hermiticity_error, self.trace_error, self.min_eigenvalue, self.tol, self.passed)
 
 
+@dataclass(frozen=True)
+class DecompositionResult:
+    """Chart word reproducing the input, plus the reconstruction error."""
+
+    word: "Word"  # a rhochart.words.Word, named only: this module loads no word algebra
+    residual: float
+
+
 def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> DensityReport:
     """Check the defining conditions: hermiticity, unit trace, no negative
     eigenvalue beyond ``tol``.  A check that overflows to inf or NaN fails."""
@@ -91,3 +103,9 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def matrix_to_json(m: np.ndarray) -> dict:
     """:func:`rhochart.jsonio.matrix_json` of a square matrix with finite entries."""
     return matrix_json(as_matrix(m))
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """:func:`rhochart.jsonio.matrix_rows` as a square complex matrix: every field is
+    checked before any array exists."""
+    return as_matrix(matrix_rows(obj))

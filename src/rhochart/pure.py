@@ -5,11 +5,12 @@ matrix, on rows of Python complex.
 and above it the numpy library (:func:`rhochart.build_density`,
 :func:`rhochart.decompose`, :func:`rhochart.validate_density`) under this module's
 three names, :func:`build_density`, :func:`density_report` and :func:`decompose`.
-The two agree to rounding; the matrix they build is encoded by the one encoder,
-``jsonio.matrix_json``.  Loading this module loads only :mod:`rhochart.jsonio`, whose
-pass and null rules both engines report by, so a small ``verify`` loads neither numpy
-nor ``dataclasses``; :func:`build_density` and :func:`decompose` load the word algebra,
-whose one atom walk serves both engines, on their first call.
+The two agree to rounding, and both return the report as its JSON dict and a
+decomposition as the pair ``(word, residual)``; the matrix they build is encoded by
+the one encoder, ``jsonio.matrix_json``.  Loading this module loads only :mod:`rhochart.jsonio`, whose
+pass and null rules both engines report by; :func:`build_density` and :func:`decompose`
+load the word algebra, whose one atom walk serves both engines, on their first call.
+No request on this engine loads numpy or ``dataclasses``.
 
 ``abs`` of a Python complex raises ``OverflowError`` past the largest float, so a
 modulus here is ``math.hypot``, which returns inf; the shared elimination's ``abs``
@@ -134,9 +135,9 @@ def _is_unitary(u: list[list[complex]], tol: float) -> bool:
 
 
 def decompose(u: list[list[complex]], tol: float):
-    """:func:`rhochart.decompose` of rows: the same elimination on ``words.list_kernel``,
-    and the residual on ``words._rows``."""
-    from .decompose import DecompositionResult, NotUnitaryError, _eliminate
+    """:func:`rhochart.decompose` of rows as the pair ``(word, residual)``: the same
+    elimination on ``words.list_kernel``, and the residual on ``words._rows``."""
+    from .decompose import NotUnitaryError, _eliminate
     from .words import _rows, list_kernel
 
     if not _is_unitary(u, tol):
@@ -145,4 +146,4 @@ def decompose(u: list[list[complex]], tol: float):
     word = _eliminate(len(u), lambda r, c: v[r][c], *list_kernel(v))
     got = _rows(word)  # U^T
     residual = max(_mod(z - got[c][r]) for r, row in enumerate(u) for c, z in enumerate(row))
-    return DecompositionResult(word=word, residual=residual)
+    return word, residual

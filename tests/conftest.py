@@ -11,9 +11,9 @@ import numpy as np
 
 from rhochart.builder import build_density
 from rhochart.charts import BlockParam, DensityChart, EigenChart, class_masses, spread
-from rhochart.decompose import ELIM_EPS, DecompositionResult
+from rhochart.decompose import ELIM_EPS
 from rhochart.degeneracy import DegeneracyPattern, canonical_order, oriented_pair
-from rhochart.numerics import adjoint, max_abs_diff
+from rhochart.numerics import DecompositionResult, adjoint, max_abs_diff
 from rhochart.words import PhaseAtom, RotationAtom, Word, WordForm, _turn, _wrap
 from rhochart.words import _conjugated, _diagonal, _sweep, opor_word
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rhochart.decompose import DecompositionResult, NotUnitaryError, decompose
-from rhochart.numerics import haar_unitary, max_abs_diff
+from rhochart.decompose import NotUnitaryError, decompose
+from rhochart.numerics import DecompositionResult, haar_unitary, max_abs_diff
 from rhochart.words import (
     PhaseAtom,
     RotationAtom,

@@ -149,7 +149,7 @@ NEAR_TOL = "1.8929527907405628e-12"
 
 
 def test_the_pinned_matrix_sits_at_its_numpy_defect():
-    a = jsonio.matrix_from_json(NEAR)
+    a = numerics.matrix_from_json(NEAR)
     assert max_abs_diff(a @ adjoint(a), np.eye(2)) == float(NEAR_TOL)
     assert run(NUMPY, ["decompose", "--tol", NEAR_TOL], NEAR)[0] == cli.EXIT_OK
 
@@ -158,6 +158,23 @@ def test_the_pinned_matrix_sits_at_its_numpy_defect():
 def test_the_engines_decide_alike_at_the_numpy_defect():
     codes = [run(engine, ["decompose", "--tol", NEAR_TOL], NEAR)[0] for engine in (pure, NUMPY)]
     assert codes[0] == codes[1], codes
+
+
+#: ``decompose`` requests whose ``--tol`` admits a matrix far from unitary (ROADMAP
+#: item 5): both engines exit 0, with residual 2.0 and 1.0
+LOOSE_TOL = [
+    (["decompose", "--tol", "100"], {"dim": 2, "entries": [[3, 0], [0, 0], [0, 0], [0, 0]]}),
+    (["decompose", "--tol", "1e308"], {"dim": 1, "entries": [[1e-320, 0]]}),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="a loose --tol accepts a matrix that no chart word reproduces (item 5)")
+@pytest.mark.parametrize("engine", [pure, NUMPY], ids=["pure", "numpy"])
+@pytest.mark.parametrize("argv, matrix", LOOSE_TOL, ids=["tol-100", "tol-1e308"])
+def test_an_accepted_decompose_reproduces_its_input(engine, argv, matrix):
+    """The README's bound: a ``decompose`` that exits 0 has a residual below 1e-10."""
+    code, out, _ = run(engine, argv, matrix)
+    assert code != cli.EXIT_OK or json.loads(out)["residual"] < 1e-10, out
 
 
 #: entries at the ends of float range, a negative zero and the least subnormal

@@ -2,9 +2,10 @@
 on first use, a CLI request that fails before any array exists, ``count``, ``--help``,
 ``rewrite`` of a small word, ``build --in``, ``decompose`` and ``verify`` of a small
 matrix and the word algebra short of ``evaluate`` never load numpy, and a larger
-``verify`` loads only the dense-matrix layer.  ``count``, ``--help``, those refusals
-and a small ``verify`` load no ``dataclasses`` either.  Load order matters here, so
-most checks run in a fresh interpreter."""
+``verify`` loads only the dense-matrix layer.  No request that runs without numpy, and
+no numpy-free module, loads ``dataclasses`` either: its one importer is
+:mod:`rhochart.numerics`.  Load order matters here, so most checks run in a fresh
+interpreter."""
 
 import importlib
 import json
@@ -279,6 +280,29 @@ def test_small_build_decompose_and_verify_run_without_numpy(tmp_path):
     assert "numpy" not in loaded
     # the path depends on the input alone: the same bytes with numpy already loaded
     assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_a_small_decompose_loads_only_the_elimination_and_no_dataclasses(tmp_path):
+    """An accepted and a refused ``decompose`` on the numpy-free engine: its result is
+    the plain pair ``(word, residual)``, so no dataclass is built."""
+    (tmp_path / "unitary.json").write_text(json.dumps(matrix_to_json(haar_unitary(3, np.random.default_rng(48)))))
+    (tmp_path / "shear.json").write_text('{"dim": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}')
+    requests = [["decompose", "--in", str(tmp_path / name)] for name in ("unitary.json", "shear.json")]
+    blocked, loaded = run_requests(NO_NUMPY, requests)
+    assert [code for code, _, _ in blocked] == [0, 3]
+    assert blocked[1][2] == "error: input is not unitary within 1e-10\n"
+    assert loaded == [
+        "rhochart", "rhochart.cli", "rhochart.decompose", "rhochart.degeneracy", "rhochart.jsonio",
+        "rhochart.pure", "rhochart.words",
+    ]
+    # the same bytes with numpy and the numpy library already loaded
+    assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_no_numpy_free_module_loads_dataclasses():
+    modules = ", ".join(f"rhochart.{m}" for m in ("cli", "charts", "decompose", "degeneracy", "jsonio", "pure", "words"))
+    done = run_python("-c", f"{NO_NUMPY}\nimport {modules}\nassert 'dataclasses' not in sys.modules")
+    assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
 
 
 def test_rewrite_above_the_bound_checks_on_numpy(tmp_path):
