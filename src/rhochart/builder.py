@@ -1,8 +1,8 @@
 """Arrays from the chart values of :mod:`rhochart.charts`: rho = U D U^dagger of a
-density chart, the commutant of a spec, seeded samplers of both, and the
-numerical oracle for ``orbit_dim``.  That oracle is the rank of the exact
-Jacobian of rho, read in the eigenframe of rho as one square system over the
-chart's blocks after one sweep over the word.
+density chart, the commutant of a spec, and the numerical oracle for
+``orbit_dim``.  That oracle is the rank of the exact Jacobian of rho, read in the
+eigenframe of rho as one square system over the chart's blocks after one sweep
+over the word.  The seeded samplers live in :mod:`rhochart.charts`.
 """
 
 from __future__ import annotations
@@ -12,19 +12,17 @@ import math
 import numpy as np
 
 from . import numerics
-from .charts import BlockParam, CommutantSpec, DensityChart, EigenChart, class_masses, dropped_blocks
-from .charts import eigen_matrix, eigenvalues, fit_chart, kept_blocks, spread
-from .degeneracy import DegeneracyPattern, canonical_order  # the benchmark's tracer rebinds canonical_order here
-from .jsonio import HALF_PI, TWO_PI
+from .charts import MASS_GAP, CommutantSpec, DensityChart, class_masses, eigen_matrix, eigenvalues, spread
+from .charts import fit_chart  # the benchmark's tracer rebinds fit_chart here
+from .charts import random_commutant_spec, random_density_chart  # the benchmark samples as builder.<name>
+from .degeneracy import canonical_order  # the benchmark's tracer rebinds canonical_order here
+from .jsonio import HALF_PI
 from .numerics import validate_density  # the benchmark times builder.validate_density
 from .words import Word, evaluate, opor_word, row_kernel
 
 #: rank oracle: relative SVD threshold, and least distance of an angle from its range ends
 SVD_THRESHOLD = 1e-7
 INTERIOR_MARGIN = 1e-6
-
-#: minimum class-mass separation for a chart to count as interior
-MASS_GAP = 1e-6
 
 
 def kept_word(c: DensityChart) -> Word:
@@ -117,53 +115,3 @@ def jacobian_rank(c: DensityChart, include_eigen: bool = False) -> int:
     _require_interior(c)
     sv = np.linalg.svd(_jacobian(c, include_eigen), compute_uv=False)
     return int(np.sum(sv > SVD_THRESHOLD * sv.max(initial=0.0)))
-
-
-# ---------------------------------------------------------------------------
-# seeded sampling helpers (tests and CLI)
-
-
-def _draw(rng: np.random.Generator, blocks: int, margin: float = 0.0, phases: int = 0) -> list[float]:
-    """One uniform draw in the order seeded outputs depend on: delta then theta
-    of each of ``blocks`` blocks in turn, then ``phases`` phases in [0, 2 pi).
-    Block angles keep ``margin`` from each end of their range.  numpy fills an
-    array of bounds element by element with the scalar formula, so the values
-    are those of one scalar draw per angle in this order."""
-    low = [margin] * (2 * blocks) + [0.0] * phases
-    high = [TWO_PI - margin, HALF_PI - margin] * blocks + [TWO_PI] * phases
-    return rng.uniform(low, high).tolist()
-
-
-def random_density_chart(
-    pattern: DegeneracyPattern,
-    rng: np.random.Generator,
-    interior: bool = False,
-) -> DensityChart:
-    """Chart with angles uniform over their canonical ranges.
-
-    Draw order: delta then theta of each kept block, then the eigen draws.  With
-    ``interior=True``, block angles keep a 1e-2 margin, and the k class masses
-    are drawn at once, uniform on the simplex above a floor that keeps them 2e-4
-    from 0 and 10 ``MASS_GAP`` apart; ``fit_chart`` inverts them, in random class
-    order, to eigen angles more than 0.014 inside [0, pi/2].
-    """
-    labels = kept_blocks(pattern)
-    x = _draw(rng, len(labels), 1e-2 if interior else 0.0)
-    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))
-    k = pattern.num_classes
-    if interior:
-        least = 2e-4 + 10 * MASS_GAP * np.arange(k)
-        masses = np.sort(rng.dirichlet(np.ones(k))) * (1.0 - least.sum()) + least
-        eigen = fit_chart(spread(pattern, rng.permutation(masses)), pattern)
-    else:
-        eigen = EigenChart(pattern, tuple(rng.uniform(0, HALF_PI, size=k - 1).tolist()))
-    return DensityChart(pattern=pattern, eigen=eigen, unitary_params=blocks)
-
-
-def random_commutant_spec(pattern: DegeneracyPattern, rng: np.random.Generator) -> CommutantSpec:
-    """Commutant with angles uniform over their ranges.  Draw order: delta then
-    theta of each in-class block, then the n diagonal phases."""
-    labels = dropped_blocks(pattern)
-    x = _draw(rng, len(labels), phases=pattern.n)
-    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))  # stops at the last label
-    return CommutantSpec(pattern=pattern, block_params=blocks, phases=tuple(x[2 * len(labels) :]))

@@ -9,9 +9,12 @@ non-negative and summing to one by construction, each shared equally by the
 indices of its class, so a degenerate spectrum has fewer angles.
 
 The charts, commutant specs and block parameters are validated tuples, like the
-value types of :mod:`rhochart.words`.  Nothing here loads numpy but
-:func:`eigen_matrix`, on its first call: :meth:`DensityChart.from_json` refuses
-a chart by the JSON path of the value at fault before any array exists.
+value types of :mod:`rhochart.words`.  Their seeded samplers draw from :class:`PCG64`,
+a standard-library stream equal to numpy's ``default_rng(seed)``, or from numpy's
+``Generator`` itself.  Nothing here loads numpy but :func:`eigen_matrix` and the
+interior branch of :func:`random_density_chart`, on their first call:
+:meth:`DensityChart.from_json` refuses a chart by the JSON path of the value at fault
+before any array exists.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 FIT_TOL = 1e-9
+
+#: minimum class-mass separation for a chart to count as interior
+MASS_GAP = 1e-6
 
 
 class EigenChart(namedtuple("EigenChart", "pattern angles")):
@@ -216,3 +222,116 @@ class CommutantSpec(namedtuple("CommutantSpec", "pattern block_params phases")):
         for k, phase in enumerate(phases):
             _number(phase, f"phases[{k}]")
         return tuple.__new__(cls, (pattern, block_params, phases))
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling (tests and CLI)
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+#: the 128-bit LCG multiplier of numpy's PCG64
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class PCG64:
+    """numpy's ``default_rng(seed).uniform`` over lists of bounds, in the standard library.
+
+    O'Neill's PCG64 (HMC-CS-2014-0905): a 128-bit LCG whose output is XSL-RR.  The
+    non-negative int ``seed`` is expanded as numpy's ``SeedSequence`` expands it: its
+    32-bit words are hashed into a pool of 4, which ``generate_state(4, uint64)`` reads
+    as the initial state and stream (``pcg_setseq_128_srandom_r``).  A draw in
+    [low, high) is low + (high - low) (x >> 11) 2^-53, x the next output, as numpy's.
+    """
+
+    def __init__(self, seed: int):
+        if seed < 0:  # as numpy's SeedSequence refuses it
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        h = 0x43B0D7E5
+
+        def hashmix(v: int) -> int:
+            nonlocal h
+            v, h = v ^ h, h * 0x931E8875 & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for e in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(e))
+        h, words = 0x8B51F9DD, []
+        for k in range(8):
+            v, h = pool[k % 4] ^ h, h * 0x58F38DED & _M32
+            v = v * h & _M32
+            words.append(v ^ v >> 16)
+        s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
+
+    def _next(self) -> int:
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, low: list[float], high: list[float]) -> list[float]:
+        """One draw per pair of bounds, in order."""
+        return [lo + (hi - lo) * ((self._next() >> 11) * 2.0**-53) for lo, hi in zip(low, high)]
+
+
+def _draw(
+    rng: PCG64 | np.random.Generator, blocks: int, margin: float = 0.0, phases: int = 0, angles: int = 0
+) -> list[float]:
+    """One uniform draw in the order seeded outputs depend on: delta then theta
+    of each of ``blocks`` blocks in turn, then ``phases`` phases in [0, 2 pi), then
+    ``angles`` angles in [0, pi/2].  Block angles keep ``margin`` from each end of
+    their range.  numpy fills an array of bounds element by element with the scalar
+    formula, so the values are those of one scalar draw per angle in this order, and
+    ``rng``, a :class:`PCG64` or a numpy ``Generator``, gives Python floats alike."""
+    low = [margin] * (2 * blocks) + [0.0] * (phases + angles)
+    high = [TWO_PI - margin, HALF_PI - margin] * blocks + [TWO_PI] * phases + [HALF_PI] * angles
+    x = rng.uniform(low, high)
+    return x if type(x) is list else x.tolist()
+
+
+def random_density_chart(
+    pattern: DegeneracyPattern,
+    rng: PCG64 | np.random.Generator,
+    interior: bool = False,
+) -> DensityChart:
+    """Chart with angles uniform over their canonical ranges.
+
+    Draw order: delta then theta of each kept block, then the eigen draws.  With
+    ``interior=True``, ``rng`` must be a numpy ``Generator``: block angles keep a
+    1e-2 margin, and the k class masses are drawn at once, uniform on the simplex
+    above a floor that keeps them 2e-4 from 0 and 10 ``MASS_GAP`` apart;
+    ``fit_chart`` inverts them, in random class order, to eigen angles more than
+    0.014 inside [0, pi/2].
+    """
+    labels, k = kept_blocks(pattern), pattern.num_classes
+    x = _draw(rng, len(labels), 1e-2 if interior else 0.0, angles=0 if interior else k - 1)
+    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))  # stops at the last label
+    if interior:
+        import numpy as np  # here, not at the top: the CLI's samples run without it
+
+        least = 2e-4 + 10 * MASS_GAP * np.arange(k)
+        masses = np.sort(rng.dirichlet(np.ones(k))) * (1.0 - least.sum()) + least
+        eigen = fit_chart(spread(pattern, rng.permutation(masses)), pattern)
+    else:
+        eigen = EigenChart(pattern, x[2 * len(labels) :])
+    return DensityChart(pattern=pattern, eigen=eigen, unitary_params=blocks)
+
+
+def random_commutant_spec(pattern: DegeneracyPattern, rng: PCG64 | np.random.Generator) -> CommutantSpec:
+    """Commutant with angles uniform over their ranges.  Draw order: delta then
+    theta of each in-class block, then the n diagonal phases."""
+    labels = dropped_blocks(pattern)
+    x = _draw(rng, len(labels), phases=pattern.n)
+    blocks = tuple(map(BlockParam, labels, x[0::2], x[1::2]))  # stops at the last label
+    return CommutantSpec(pattern=pattern, block_params=blocks, phases=tuple(x[2 * len(labels) :]))

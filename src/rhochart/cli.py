@@ -14,12 +14,13 @@ exists never load numpy; that includes a word, matrix or chart its decoder
 refuses, whether for a field's type, its shape or its value.  Nor does
 ``rewrite`` of a word whose check is at most ``PURE_CHECK_MAX`` (n x row
 steps): it compares the two words' products on pure-Python rows.  ``build``,
-``decompose`` and ``verify`` run on the engine that :func:`_engine`, the one reader
-of ``PURE_DIM_MAX``, picks from n: :mod:`rhochart.pure`, on rows of Python complex,
-at n <= ``PURE_DIM_MAX``, and above it the numpy library under the same names,
-both returning the report as its JSON dict and a decomposition as ``(word, residual)``.  So
-of the small ones only ``build --random`` loads numpy, for its generator, and none
-loads ``dataclasses``.  Each reads its matrix as rows and writes one with
+``decompose``, ``verify`` and ``commutant`` run on the engine that :func:`_engine`,
+the one reader of ``PURE_DIM_MAX``, picks from n: :mod:`rhochart.pure`, on rows of
+Python complex, at n <= ``PURE_DIM_MAX``, and above it the numpy library under the
+same names, both returning the report as its JSON dict and a decomposition as
+``(word, residual)``.  ``--seed`` draws from ``charts.PCG64``, the standard-library
+stream equal to numpy's ``default_rng(seed)``.  So no small request loads numpy or
+``dataclasses``.  Each reads its matrix as rows and writes one with
 ``jsonio.matrix_json``, whatever the engine.  Each path depends on the input alone,
 so a request prints the same bytes in every process.
 
@@ -106,11 +107,12 @@ _NUMPY = types.SimpleNamespace(
     build_density=lambda chart: rc.build_density(chart),
     density_report=lambda m, tol: rc.validate_density(m, tol).to_json(),
     decompose=_decompose,
+    build_commutant=lambda spec: rc.build_commutant(spec),
 )
 
 
 def _engine(n: int):
-    """The engine of a ``build``, ``decompose`` or ``verify`` of size ``n``."""
+    """The engine of a ``build``, ``decompose``, ``verify`` or ``commutant`` of size ``n``."""
     return rc.pure if n <= PURE_DIM_MAX else _NUMPY
 
 
@@ -139,8 +141,7 @@ def _rng_from_args(args):
         raise ValueError("--seed is required for randomized actions")
     if args.seed < 0:
         raise ValueError(f"argument --seed: must be a non-negative integer, got {args.seed}")
-    import numpy as np
-    return np.random.default_rng(args.seed)
+    return rc.charts.PCG64(args.seed)
 
 
 def _tol(args) -> float:
@@ -168,7 +169,7 @@ def cmd_build(args):
         if args.infile:
             raise ValueError("--in cannot be combined with --random, which reads no chart")
         rng = _rng_from_args(args)
-        chart = rc.builder.random_density_chart(pattern, rng)
+        chart = rc.charts.random_density_chart(pattern, rng)
     else:
         if args.seed is not None:
             raise ValueError("--seed needs --random; a chart read from --in is not sampled")
@@ -224,8 +225,8 @@ def cmd_commutant(args):
     if not args.random:
         raise ValueError("commutant only samples; it needs --random and --seed")
     rng = _rng_from_args(args)
-    spec = rc.builder.random_commutant_spec(args.pattern, rng)
-    return rc.jsonio.matrix_json(rc.build_commutant(spec)), EXIT_OK
+    spec = rc.charts.random_commutant_spec(args.pattern, rng)
+    return rc.jsonio.matrix_json(_engine(args.pattern.n).build_commutant(spec)), EXIT_OK
 
 
 def _pattern(text: str) -> rc.DegeneracyPattern:

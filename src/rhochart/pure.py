@@ -1,15 +1,17 @@
-"""The CLI's numpy-free engine: ``build``, ``decompose`` and ``verify`` of a small
-matrix, on rows of Python complex.
+"""The CLI's numpy-free engine: ``build``, ``decompose``, ``verify`` and ``commutant``
+of a small matrix, on rows of Python complex.
 
 ``cli._engine`` picks the engine from n alone: this module at n <= ``cli.PURE_DIM_MAX``,
 and above it the numpy library (:func:`rhochart.build_density`,
-:func:`rhochart.decompose`, :func:`rhochart.validate_density`) under this module's
-three names, :func:`build_density`, :func:`density_report` and :func:`decompose`.
-The two agree to rounding, and both return the report as its JSON dict and a
-decomposition as the pair ``(word, residual)``; the matrix they build is encoded by
-the one encoder, ``jsonio.matrix_json``.  Loading this module loads only :mod:`rhochart.jsonio`, whose
-pass and null rules both engines report by; :func:`build_density` and :func:`decompose`
-load the word algebra, whose one atom walk serves both engines, on their first call.
+:func:`rhochart.decompose`, :func:`rhochart.validate_density`,
+:func:`rhochart.build_commutant`) under this module's four names,
+:func:`build_density`, :func:`density_report`, :func:`decompose` and
+:func:`build_commutant`.  The two agree to rounding, and both return the report as
+its JSON dict and a decomposition as the pair ``(word, residual)``; the matrix they
+build is encoded by the one encoder, ``jsonio.matrix_json``.  Loading this module
+loads only :mod:`rhochart.jsonio`, whose pass and null rules both engines report by;
+:func:`build_density`, :func:`decompose` and :func:`build_commutant` load the word
+algebra, whose one atom walk serves both engines, on their first call.
 No request on this engine loads numpy or ``dataclasses``.
 
 ``abs`` of a Python complex raises ``OverflowError`` past the largest float, so a
@@ -147,3 +149,12 @@ def decompose(u: list[list[complex]], tol: float):
     got = _rows(word)  # U^T
     residual = max(_mod(z - got[c][r]) for r, row in enumerate(u) for c, z in enumerate(row))
     return word, residual
+
+
+def build_commutant(spec) -> list[list[complex]]:
+    """:func:`rhochart.build_commutant` of a commutant spec: its word on ``words._rows``,
+    transposed."""
+    from .words import _rows, opor_word
+
+    v = _rows(opor_word(spec.pattern.n, spec.block_params, spec.phases))  # U^T
+    return [list(column) for column in zip(*v)]

@@ -15,20 +15,20 @@ from conftest import (
     rho_frame_jacobian,
 )
 from rhochart.builder import (
-    MASS_GAP,
     SVD_THRESHOLD,
     build_commutant,
     build_density,
-    _draw,
     _jacobian,
     _require_interior,
     jacobian_rank,
     kept_word,
-    random_commutant_spec,
-    random_density_chart,
     validate_density,
 )
 from rhochart.charts import (
+    MASS_GAP,
+    _draw,
+    random_commutant_spec,
+    random_density_chart,
     BlockParam,
     CommutantSpec,
     DensityChart,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rhochart.charts import EigenChart, eigen_matrix, eigenvalues, fit_chart
-from rhochart.degeneracy import DegeneracyPattern
+from rhochart.charts import PCG64, EigenChart, _draw, eigen_matrix, eigenvalues, fit_chart, kept_blocks
+from rhochart.charts import random_commutant_spec, random_density_chart
+from rhochart.degeneracy import DegeneracyPattern, canonical_order
 
 HALF_PI = math.pi / 2
 
@@ -156,3 +157,37 @@ def test_jacobian_rank_of_eigenvalue_map():
 def test_fit_chart_accepts_a_generator():
     chart = fit_chart((v for v in (0.25, 0.25, 0.5)), pat(2, 1))
     assert chart == fit_chart([0.25, 0.25, 0.5], pat(2, 1))
+
+
+#: 0..199, the ends of the 32- and 64-bit ranges, a seed past 2**64, one of 74 bits and
+#: one of more than the 4 words of numpy's entropy pool
+STREAM_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**73 + 0x5EED, 2**200 + 3]
+
+
+def stream_samples(rng):
+    """Every draw shape of the seeded samplers, on one stream: non-interior charts (kept
+    blocks, then eigen angles), commutants (in-class blocks, then n phases), full-chart
+    parameters with n phases, and block angles kept 1e-2 inside their ranges."""
+    out = []
+    for p in (pat(1), pat(2, 1), pat(1, 1, 1), pat(3, 2), pat(1, 2, 1, 3), pat(*[1] * 8)):
+        out += [random_density_chart(p, rng), random_commutant_spec(p, rng)]
+        out += [_draw(rng, len(canonical_order(p)), phases=p.n), _draw(rng, len(kept_blocks(p)), 1e-2)]
+    return out
+
+
+def test_the_stdlib_stream_is_numpy_default_rng():
+    """``PCG64(seed)`` draws what ``np.random.default_rng(seed)`` draws, bit for bit, as
+    Python floats.  numpy computes ``off + scale * next_double`` in C, which x86-64
+    baseline code does not contract; on a platform whose baseline has FMA (aarch64) the
+    compiler may fuse it, and this test would fail there: the stdlib stream is then the
+    contract, and the sampler golden digest keeps it."""
+    for seed in STREAM_SEEDS:
+        got, want = stream_samples(PCG64(seed)), stream_samples(np.random.default_rng(seed))
+        assert got == want, seed
+        assert repr(got) == repr(want) and "np." not in repr(got), seed
+        charts = zip(got[0::4], want[0::4])
+        assert all(a.to_json() == b.to_json() for a, b in charts), seed
+        # the negative control: the next seed's stream is another stream
+        assert stream_samples(PCG64(seed + 1)) != want, seed
+    with pytest.raises(ValueError, match="non-negative"):
+        PCG64(-1)

@@ -1,10 +1,10 @@
 """The CLI's one engine seam and its one matrix encoder.
 
 ``cli._engine`` picks :mod:`rhochart.pure` or the numpy library from n alone.  A
-``build --in``, ``decompose`` or ``verify`` request forced through each engine exits
-alike, prints the same ``error:`` line, and prints numbers within the bounds of
-``tests/test_pure.py``: rho and the report fields 1e-15, a word's product 1e-14.  The
-one exception is ``BAND``: where a checked quantity (the unitarity defect, the
+``build --in``, ``decompose``, ``verify`` or ``commutant`` request forced through
+each engine exits alike, prints the same ``error:`` line, and prints numbers within
+the bounds of ``tests/test_pure.py``: rho and the report fields 1e-15, a word's
+product 1e-14.  The one exception is ``BAND``: where a checked quantity (the unitarity defect, the
 hermiticity or trace error, or the least eigenvalue against -tol) lies within 1e-15
 of its bound, the engines' rounding may decide apart.  ``jsonio.matrix_json`` writes
 the same bytes for rows and arrays, and the bytes of the encoder before it."""
@@ -133,6 +133,27 @@ def test_a_request_runs_alike_on_both_engines(case):
     if code == want_code == 0 or (code == want_code == 3 and argv[0] != "decompose"):
         assert_numbers_agree(argv[0], json.loads(out), json.loads(want_out))
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 2**70))
+def test_a_commutant_runs_alike_on_both_engines(mults, seed):
+    """``commutant`` forced through each engine: both exit 0, their unitaries agree within
+    a word's product bound, and each commutes with the pattern's diagonal exactly."""
+    while sum(mults) > 12:
+        mults.pop()
+    argv = ["commutant", "--pattern", ",".join(map(str, mults)), "--random", "--seed", str(seed)]
+    outs = []
+    for engine in (pure, NUMPY):
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "_engine", lambda n: engine)
+            assert cli.main(argv) == cli.EXIT_OK
+        outs.append(jsonio.matrix_rows(json.loads(out.getvalue())))
+    got, want = outs
+    assert max(abs(x - y) for r, s in zip(got, want) for x, y in zip(r, s)) <= 1e-14
+    cls = [k for k, m in enumerate(mults) for _ in range(m)]  # the class of each index
+    for c in outs:
+        assert all(c[j][l] == 0 for j in range(len(c)) for l in range(len(c)) if cls[j] != cls[l])
 
 #: a 2 x 2 matrix whose unitarity defect by numpy, max_abs_diff(a a^dagger, I), is
 #: ``NEAR_TOL``: numpy accepts it at that ``--tol``, and pure's entrywise test refuses it

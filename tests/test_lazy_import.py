@@ -1,11 +1,11 @@
 """``import rhochart`` loads no submodule, each exported name loads its home module
 on first use, a CLI request that fails before any array exists, ``count``, ``--help``,
-``rewrite`` of a small word, ``build --in``, ``decompose`` and ``verify`` of a small
-matrix and the word algebra short of ``evaluate`` never load numpy, and a larger
-``verify`` loads only the dense-matrix layer.  No request that runs without numpy, and
-no numpy-free module, loads ``dataclasses`` either: its one importer is
-:mod:`rhochart.numerics`.  Load order matters here, so most checks run in a fresh
-interpreter."""
+``rewrite`` of a small word, ``build --in``, ``build --random``, ``commutant``,
+``decompose`` and ``verify`` of a small matrix and the word algebra short of
+``evaluate`` never load numpy, and a larger ``verify`` loads only the dense-matrix
+layer.  No request that runs without numpy, and no numpy-free module, loads
+``dataclasses`` either: its one importer is :mod:`rhochart.numerics`.  Load order
+matters here, so most checks run in a fresh interpreter."""
 
 import importlib
 import json
@@ -16,7 +16,7 @@ import pytest
 
 import rhochart
 from conftest import random_interleaved_word, run_python
-from rhochart.builder import build_density, random_density_chart
+from rhochart.builder import build_commutant, build_density, random_commutant_spec, random_density_chart
 from rhochart.cli import PURE_CHECK_MAX, PURE_DIM_MAX, _steps, main
 from rhochart.decompose import decompose
 from rhochart.degeneracy import DegeneracyPattern
@@ -256,6 +256,47 @@ def test_build_decompose_and_verify_above_the_bound_run_on_numpy(tmp_path):
         [[code, out, _]], loaded = run_requests("", [argv])
         assert code == 0 and "numpy" in loaded and out == want, argv[0]
 
+
+def sampling_requests(n):
+    """``build --random`` and ``commutant`` at ``n``: of singletons and of one class, each
+    at a seed past 2**64."""
+    return [
+        [command, "--pattern", pattern, "--random", "--seed", str(2**64 + seed)]
+        for seed, pattern in enumerate((",".join(["1"] * n), str(n)))
+        for command in ("build", "commutant")
+    ]
+
+
+def test_seeded_sampling_runs_without_numpy_up_to_the_bound():
+    """``--seed`` draws from the stdlib stream, and ``commutant`` runs on the engine seam:
+    at n = 3 and at n = PURE_DIM_MAX neither command loads numpy or ``dataclasses``."""
+    requests = sampling_requests(3) + sampling_requests(PURE_DIM_MAX)
+    blocked, loaded = run_requests(NO_NUMPY, requests)
+    assert [code for code, _, _ in blocked] == [0] * 8
+    assert loaded == [
+        "rhochart", "rhochart.charts", "rhochart.cli", "rhochart.degeneracy", "rhochart.jsonio",
+        "rhochart.pure", "rhochart.words",
+    ]
+    # the path depends on the seed alone: the same bytes with numpy already loaded
+    assert blocked == run_requests(EVERY_MODULE, requests)[0]
+
+
+def test_seeded_sampling_above_the_bound_runs_on_numpy():
+    """At n = PURE_DIM_MAX + 1 both commands load numpy and print exactly the bytes of
+    the numpy library on numpy's ``default_rng(seed)``."""
+    n = PURE_DIM_MAX + 1
+    for argv in sampling_requests(n):
+        pattern = DegeneracyPattern.from_multiplicities([int(m) for m in argv[2].split(",")])
+        rng = np.random.default_rng(int(argv[-1]))
+        if argv[0] == "build":
+            chart = random_density_chart(pattern, rng)
+            rho = build_density(chart)
+            report = validate_density(rho).to_json()
+            want = {"chart": chart.to_json(), "matrix": matrix_to_json(rho), "validation": report}
+        else:
+            want = matrix_to_json(build_commutant(random_commutant_spec(pattern, rng)))
+        [[code, out, _]], loaded = run_requests("", [argv])
+        assert code == 0 and "numpy" in loaded and out == json.dumps(want, indent=2) + "\n", argv
 
 def test_rewrite_of_a_small_word_runs_without_numpy(tmp_path):
     rng = np.random.default_rng(36)

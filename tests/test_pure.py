@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from conftest import density_build_patterns, phased_permutation
 from rhochart import pure
-from rhochart.builder import build_density, random_density_chart
+from rhochart.builder import build_commutant, build_density, random_commutant_spec, random_density_chart
 from rhochart.cli import PURE_DIM_MAX, main
 from rhochart.decompose import decompose
+from rhochart.degeneracy import DegeneracyPattern
 from rhochart.numerics import DEFAULT_TOL, haar_unitary, max_abs_diff, validate_density
 from rhochart.words import evaluate, make_opor_chart
 
@@ -67,6 +68,14 @@ def test_the_engines_agree_on_decompose(n):
         assert want.residual <= 1e-14 and residual <= 1e-14
         assert max_abs_diff(evaluate(word), evaluate(want.word)) <= 1e-14
 
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_engines_agree_on_commutants(n):
+    rng = np.random.default_rng(480 + n)
+    for pattern in density_build_patterns(n) + [DegeneracyPattern.from_multiplicities([n])]:
+        for _ in range(2 if n > 8 else 5):
+            spec = random_commutant_spec(pattern, rng)
+            assert max_abs_diff(np.array(pure.build_commutant(spec)), build_commutant(spec)) <= 1e-14
 
 @pytest.mark.parametrize("n", (2, 3, 5, 8, PURE_DIM_MAX))
 def test_the_engines_pass_and_fail_alike_next_to_the_eigenvalue_edge(n):
