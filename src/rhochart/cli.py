@@ -55,8 +55,9 @@ MAX_DIM = 256
 #: (words._gap); a larger check evaluates on numpy
 PURE_CHECK_MAX = 200_000
 
-#: largest n of a build, decompose or verify computed on rows of Python complex
-#: (rhochart.pure); a larger one runs on numpy (_engine)
+#: largest n of a build, decompose, verify or commutant computed on rows of Python
+#: complex (rhochart.pure); a larger one runs on numpy (_engine).  The bound is
+#: build's crossover; commutant's cold crossover lies higher, near 88 for one class
 PURE_DIM_MAX = 32
 
 

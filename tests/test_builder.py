@@ -26,6 +26,7 @@ from rhochart.builder import (
 )
 from rhochart.charts import (
     MASS_GAP,
+    PCG64,
     _draw,
     random_commutant_spec,
     random_density_chart,
@@ -465,25 +466,45 @@ def sampler_corpus():
         yield from ((1,) * n, (2,) + (1,) * (n - 2), (n - 1, 1), ((n + 1) // 2, n // 2))
 
 
-def test_seeded_samplers_match_the_golden_digest():
-    """Charts, commutants and full-chart parameter draws from two seeds, byte for
-    byte, each followed by the generator's next draw: a sampler that reordered or
-    dropped a draw would change the digest even where its own output agrees."""
+def sampler_digest(rngs, interior=True):
+    """(outputs, sha256) of charts, commutants and full-chart parameter draws over
+    ``sampler_corpus()`` on each of ``rngs`` in turn, byte for byte, each followed by
+    the generator's next draw in [0, 1): a sampler that reordered or dropped a draw
+    would change the digest even where its own output agrees.  ``interior=False``
+    leaves out the interior charts, which only a numpy ``Generator`` can draw."""
     digest, outputs = hashlib.sha256(), 0
-    for seed in (1, 2):
-        rng = np.random.default_rng(seed)
+    for rng in rngs:
         for mults in sampler_corpus():
             pattern = DegeneracyPattern.from_multiplicities(mults)
-            for draw in (
+            draws = [
                 lambda: random_density_chart(pattern, rng).to_json(),
                 lambda: random_density_chart(pattern, rng, interior=True).to_json(),
                 lambda: repr(random_commutant_spec(pattern, rng)),
                 lambda: _draw(rng, len(canonical_order(pattern)), phases=pattern.n),
-            ):
+            ]
+            for draw in draws if interior else draws[:1] + draws[2:]:
                 out = draw()
-                digest.update(f"{json.dumps(out)} {rng.random()!r}\n".encode())
+                after = float(rng.uniform([0.0], [1.0])[0])  # numpy's random(): 0 + 1 * d
+                digest.update(f"{json.dumps(out)} {after!r}\n".encode())
                 outputs += 1
-    assert (outputs, digest.hexdigest()) == GOLDEN_SAMPLES
+    return outputs, digest.hexdigest()
+
+
+def test_seeded_samplers_match_the_golden_digest():
+    assert sampler_digest([np.random.default_rng(seed) for seed in (1, 2)]) == GOLDEN_SAMPLES
+
+
+#: (outputs, sha256) of the non-interior samplers on ``charts.PCG64``, the CLI's
+#: ``--seed`` stream, over ``sampler_corpus()`` at seeds 1, 2, 2**64 + 5 and 2**200 + 3;
+#: the same draws on ``np.random.default_rng`` give this digest too, today
+GOLDEN_STDLIB_SAMPLES = (900, "37e9c635cea4823a4408011bb9eb20e6954783e986a0d7993b75d83285ecf250")
+
+
+def test_the_cli_stream_matches_its_golden_digest():
+    """The CLI's stream pinned apart from numpy's: if numpy's ``default_rng`` stream
+    ever moves, ``--seed`` keeps drawing what this digest holds."""
+    rngs = [PCG64(seed) for seed in (1, 2, 2**64 + 5, 2**200 + 3)]
+    assert sampler_digest(rngs, interior=False) == GOLDEN_STDLIB_SAMPLES
 
 
 #: ``random_density_chart(pat(3, 2), np.random.default_rng(165), interior=True)``,

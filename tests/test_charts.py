@@ -180,7 +180,7 @@ def test_the_stdlib_stream_is_numpy_default_rng():
     Python floats.  numpy computes ``off + scale * next_double`` in C, which x86-64
     baseline code does not contract; on a platform whose baseline has FMA (aarch64) the
     compiler may fuse it, and this test would fail there: the stdlib stream is then the
-    contract, and the sampler golden digest keeps it."""
+    contract, and ``test_the_cli_stream_matches_its_golden_digest`` keeps it."""
     for seed in STREAM_SEEDS:
         got, want = stream_samples(PCG64(seed)), stream_samples(np.random.default_rng(seed))
         assert got == want, seed
